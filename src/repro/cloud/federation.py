@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.cloud.instances import InstanceType, find_instance, instance_catalog
 from repro.cloud.network import LinkSpec, NetworkModel
@@ -28,6 +28,11 @@ class CloudSite:
         return self.region.provider
 
 
+#: Distinct (site, instance type, node count) clusters one federation
+#: memoizes; a QEP space's node-count grid is far smaller.
+_PROVISIONED_CAPACITY = 1024
+
+
 class CloudFederation:
     """A set of interconnected cloud sites with shared pricing/networking."""
 
@@ -36,6 +41,9 @@ class CloudFederation:
         self._sites: dict[str, CloudSite] = {}
         self.pricing = pricing or PricingModel()
         self.network = network or NetworkModel()
+        # Provisioning is pure and clusters are frozen: QEP enumeration
+        # asks for the same (site, instance, nodes) triples on every call.
+        self._clusters: dict[tuple[str, str, int], Cluster] = {}
 
     # Site management ----------------------------------------------------
 
@@ -61,10 +69,16 @@ class CloudFederation:
     # Provisioning ---------------------------------------------------------
 
     def provision(self, site_name: str, instance_name: str, node_count: int) -> Cluster:
-        """Provision a homogeneous cluster at a site."""
-        site = self.site(site_name)
-        instance = find_instance(site.provider, instance_name)
-        return Cluster(site.name, instance, node_count)
+        """Provision a homogeneous cluster at a site (memoized)."""
+        key = (site_name, instance_name, node_count)
+        cluster = self._clusters.get(key)
+        if cluster is None:
+            site = self.site(site_name)
+            instance = find_instance(site.provider, instance_name)
+            cluster = Cluster(site.name, instance, node_count)
+            if len(self._clusters) < _PROVISIONED_CAPACITY:
+                self._clusters[key] = cluster
+        return cluster
 
     def catalog(self, site_name: str) -> tuple[InstanceType, ...]:
         return instance_catalog(self.site(site_name).provider)

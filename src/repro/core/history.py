@@ -17,7 +17,7 @@ from repro.common.errors import EstimationError
 from repro.ml.dataset import Dataset
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Observation:
     """One logged execution."""
 

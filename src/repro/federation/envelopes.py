@@ -143,7 +143,7 @@ class BatchObserveRequest:
         return len(self.requests)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObservationReport:
     """Outcome of one :class:`ObserveRequest`."""
 

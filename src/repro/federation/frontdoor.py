@@ -109,7 +109,6 @@ pending flush on the *same* template could append out of tick order.
 
 from __future__ import annotations
 
-import asyncio
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -153,6 +152,10 @@ class IngestTicket:
     :attr:`error` is set, :attr:`batch_seq` names the flush,
     :attr:`resolved_at` records the resolution time, :meth:`wait`
     unblocks, and done-callbacks fire.
+
+    Tickets carry no synchronisation objects of their own: waits and
+    callback registration go through their front door's one
+    ``resolved`` condition, so a ticket costs a few slots per row.
     """
 
     __slots__ = (
@@ -167,10 +170,18 @@ class IngestTicket:
         "batch_seq",
         "_done",
         "_callbacks",
-        "_cb_lock",
+        "_resolved",
     )
 
-    def __init__(self, seq: int, template: str, kind: str, tick: int, admitted_at: float):
+    def __init__(
+        self,
+        seq: int,
+        template: str,
+        kind: str,
+        tick: int,
+        admitted_at: float,
+        resolved: threading.Condition,
+    ):
         self.seq = seq
         self.template = template
         #: ``"submit"`` or ``"observe"``.
@@ -184,22 +195,25 @@ class IngestTicket:
         self.report: SubmissionReport | ObservationReport | None = None
         self.error: FederationError | None = None
         self.batch_seq: int | None = None
-        self._done = threading.Event()
-        self._callbacks: list = []
-        self._cb_lock = threading.Lock()
+        self._done = False
+        self._callbacks: list | None = None
+        self._resolved = resolved
 
     @property
     def done(self) -> bool:
-        return self._done.is_set()
+        return self._done
 
     def wait(self, timeout: float | None = None) -> bool:
-        return self._done.wait(timeout)
+        if self._done:
+            return True
+        with self._resolved:
+            return self._resolved.wait_for(lambda: self._done, timeout)
 
     def result(self) -> SubmissionReport | ObservationReport:
         """The flushed report; raises the item's typed error instead if
         its execution failed, or :class:`SessionStateError` before the
         item's segment has flushed."""
-        if not self._done.is_set():
+        if not self._done:
             raise SessionStateError(
                 f"ticket {self.seq} is not flushed yet; call drain() "
                 "or wait() first",
@@ -219,8 +233,10 @@ class IngestTicket:
         inside the flush); exceptions they raise are suppressed so one
         consumer can never strand another consumer's flush.
         """
-        with self._cb_lock:
-            if not self._done.is_set():
+        with self._resolved:
+            if not self._done:
+                if self._callbacks is None:
+                    self._callbacks = []
                 self._callbacks.append(fn)
                 return
         try:
@@ -235,10 +251,11 @@ class IngestTicket:
         self.error = error
         self.batch_seq = batch_seq
         self.resolved_at = time_fn()
-        with self._cb_lock:
-            self._done.set()
-            callbacks, self._callbacks = self._callbacks, []
-        for fn in callbacks:
+        with self._resolved:
+            self._done = True
+            callbacks, self._callbacks = self._callbacks, None
+            self._resolved.notify_all()
+        for fn in callbacks or ():
             try:
                 fn(self)
             except Exception:
@@ -291,6 +308,9 @@ class FrontDoor:
         self.segment_max: int | None = config.ingest_segment_max
         self._lock = threading.Lock()
         self._space = threading.Condition(self._lock)
+        #: Shared by every ticket of this door: ticket waits and
+        #: done-callback registration synchronise here.
+        self._resolved = threading.Condition()
         self._pending: list[_Item] = []
         self._flushing = False
         self._closed = False
@@ -409,7 +429,9 @@ class FrontDoor:
             seq = self._seq
             self._seq += 1
             tick = self._gateway._resolve_tick(request.tick)
-            ticket = IngestTicket(seq, request.template, kind, tick, now)
+            ticket = IngestTicket(
+                seq, request.template, kind, tick, now, self._resolved
+            )
             self._pending.append(_Item(seq, kind, request, tick, now, ticket))
             tickets.append(ticket)
             if kind == "submit":
@@ -487,6 +509,8 @@ class FrontDoor:
         report (a list of reports for a :class:`BatchObserveRequest`) or
         raises the item's typed error.
         """
+        import asyncio  # only the asyncio surface needs it
+
         loop = asyncio.get_running_loop()
         admitted = await self._in_admission_thread(loop, self.ingest, request)
         if isinstance(admitted, list):
@@ -503,6 +527,8 @@ class FrontDoor:
         admissions to the admission thread ahead of the drain — the
         create-tasks-then-drain pattern flushes all of them.
         """
+        import asyncio  # only the asyncio surface needs it
+
         await asyncio.sleep(0)
         loop = asyncio.get_running_loop()
         try:
@@ -520,6 +546,8 @@ class FrontDoor:
         created in order admit in order, which is what makes the async
         surface replayable under the bitwise-equivalence contract.
         """
+        import asyncio  # only the asyncio surface needs it
+
         with self._space:
             self._ensure_open_locked()
             if self._admit_pool is None:

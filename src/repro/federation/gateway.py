@@ -19,7 +19,6 @@ directly.
 
 from __future__ import annotations
 
-import asyncio
 import threading
 from collections import deque
 from contextlib import nullcontext
@@ -58,6 +57,7 @@ from repro.federation.frontdoor import FrontDoor, IngestTicket
 from repro.federation.registry import create_serving, create_strategy
 from repro.federation.session import GatewaySession
 from repro.common.errors import EstimationError
+from repro.common.lru import LruCache
 from repro.core.cache import CacheStats
 from repro.core.history import ExecutionHistory
 from repro.ires.deployment import Deployment
@@ -579,7 +579,7 @@ class FederationGateway:
         with self._tick_scope(key, request.tick):
             tick = self._resolve_tick(request.tick)
             if candidate is None:
-                _request, space = self.engine.candidates_for(
+                query, space = self.engine.candidates_for(
                     key, request.params, stats=stats, constraint=constraint
                 )
                 self._checked_space(key, request.principal, constraint, space)
@@ -596,8 +596,10 @@ class FederationGateway:
                         index = self._rotation.get(key, 0)
                         rotation = self._rotation[key] = index + 1
                     candidate = space[index % len(space)]
+            else:
+                query = self.engine.receive(key, request.params)
             execution = self.engine.observe(
-                key, request.params, candidate, tick, stats=stats
+                key, request.params, candidate, tick, stats=stats, request=query
             )
             history = self.engine.history(key)
             size, version = history.size, history.version
@@ -722,6 +724,8 @@ class FederationGateway:
         # hands their admissions to the admission thread.  Checking
         # first would see no door, drain nothing, and leave those tasks
         # waiting on a flush that never comes.
+        import asyncio  # only the asyncio surface needs it
+
         await asyncio.sleep(0)
         door = self._front_door
         if door is None:
@@ -803,7 +807,7 @@ class FederationGateway:
         request: SubmitRequest,
         *,
         cost_model: FittedCostModel | None = None,
-        enumerations: dict | None = None,
+        enumerations: LruCache | None = None,
         pinned: bool = False,
         execute: bool = True,
     ) -> SubmissionReport:
@@ -813,46 +817,36 @@ class FederationGateway:
             self._durability.ensure_ready()
         constraint = self._constraint_for(key, request.principal)
         engine = self.engine
-        template = engine.template(key)
-        sql = template.render(request.params)
-        candidates = features_matrix = None
-        if enumerations is None:
-            query_request = engine.interface.receive(sql, request.policy)
-            if constraint is not None:
-                # Constrained requests pre-enumerate here (the engine room
-                # stays governance-blind); the permissive path leaves
-                # enumeration to submit_request, exactly as before.
-                candidates = engine.enumerator.enumerate(
-                    key,
-                    query_request.plan,
-                    engine.stats,
-                    template.tables,
-                    constraint=constraint,
-                )
-                self._checked_space(key, request.principal, constraint, candidates)
-        else:
+        query_request = engine.receive(key, request.params, request.policy)
+        candidates = features_matrix = cached = None
+        if enumerations is not None:
             # Cache key carries the constraint signature: one pinned
             # session can serve principals with different admissible
             # spaces without ever leaking a filtered space between them.
-            cache_key = (sql, None if constraint is None else constraint.signature)
+            cache_key = (
+                query_request.sql,
+                None if constraint is None else constraint.signature,
+            )
             cached = enumerations.get(cache_key)
-            if cached is None:
-                query_request = engine.interface.receive(sql, request.policy)
-                candidates = engine.enumerator.enumerate(
-                    key,
-                    query_request.plan,
-                    engine.stats,
-                    template.tables,
-                    constraint=constraint,
-                )
-                self._checked_space(key, request.principal, constraint, candidates)
+        if cached is not None:
+            candidates, features_matrix = cached
+        elif enumerations is not None or constraint is not None:
+            # Sessions and constrained requests enumerate here (the engine
+            # room stays governance-blind); the permissive single-call
+            # path leaves enumeration to submit_request, exactly as before.
+            candidates = engine.enumerator.enumerate(
+                key,
+                query_request.plan,
+                engine.stats,
+                engine.template(key).tables,
+                constraint=constraint,
+            )
+            self._checked_space(key, request.principal, constraint, candidates)
+            if enumerations is not None:
                 features_matrix = MultiObjectiveOptimizer.candidate_matrix(
                     candidates, cost_model
                 )
-                enumerations[cache_key] = (query_request, candidates, features_matrix)
-            else:
-                base_request, candidates, features_matrix = cached
-                query_request = replace(base_request, policy=request.policy)
+                enumerations.put(cache_key, (candidates, features_matrix))
         with self._tick_scope(key, request.tick):
             tick = self._resolve_tick(request.tick)
             try:

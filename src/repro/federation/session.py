@@ -15,7 +15,8 @@ re-pinned (closing the ROADMAP "snapshot pinning" follow-on).
 parameter batch shares the pinned model, and the QEP space is enumerated
 (and its feature matrix built) once per *distinct query instance* —
 repeat parameters, e.g. a policy/weight sweep over one query, cost one
-enumeration total.
+enumeration total (while the instance stays among the session's
+:data:`SESSION_ENUMERATIONS` most recent ones).
 """
 
 from __future__ import annotations
@@ -24,15 +25,20 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
+from repro.common.lru import LruCache
 from repro.federation.envelopes import BatchReport, SubmitRequest, SubmissionReport
 from repro.federation.errors import EnvelopeError, SessionStateError
 from repro.ires.enumerator import QepCandidate
-from repro.ires.interface import QueryRequest
 from repro.ires.modelling import FittedCostModel
 from repro.ires.optimizer import MultiObjectiveOptimizer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.federation.gateway import FederationGateway
+
+#: Query instances one session keeps enumerated.  A parameter sweep
+#: revisits a handful of instances; an unbounded cache grew with every
+#: fresh one for the session's lifetime.
+SESSION_ENUMERATIONS = 64
 
 
 class GatewaySession:
@@ -54,17 +60,15 @@ class GatewaySession:
         self._closed = False
         self._model: FittedCostModel | None = None
         self._pinned_version: int | None = None
-        #: (rendered SQL, governance-constraint signature) -> (request,
-        #: candidates, features matrix); the per-batch enumeration cache
-        #: (the pinned model fixes the feature order, so the matrix is
-        #: reusable too).  The constraint signature keys the cache
-        #: because principals may differ across one batch: two callers
-        #: with different admissible spaces never share an entry (the
-        #: signature is None for unconstrained requests).
-        self._enumerations: dict[
-            tuple[str, tuple | None],
-            tuple[QueryRequest, list[QepCandidate], np.ndarray],
-        ] = {}
+        #: (rendered SQL, governance-constraint signature) -> (candidates,
+        #: features matrix) of the :data:`SESSION_ENUMERATIONS` most
+        #: recent query instances (the pinned model fixes the feature
+        #: order, so the matrix is reusable too).  The constraint
+        #: signature keys the cache because principals may differ across
+        #: one batch: two callers with different admissible spaces never
+        #: share an entry (the signature is None for unconstrained
+        #: requests).
+        self._enumerations = LruCache(SESSION_ENUMERATIONS)
         self.repin()
 
     # Lifecycle ------------------------------------------------------------
@@ -179,14 +183,14 @@ class GatewaySession:
                     template=request.template,
                     phase="session",
                 )
-        before = len(self._enumerations)
+        before = self._enumerations.insertions
         reports = tuple(self.submit(request, execute=execute) for request in items)
         return BatchReport(
             template=self.template,
             reports=reports,
             cost_model=self._model,
             pinned_version=self._pinned_version,
-            enumerations=len(self._enumerations) - before,
+            enumerations=self._enumerations.insertions - before,
         )
 
     # Estimation on the pinned model ---------------------------------------

@@ -12,6 +12,15 @@ enumerator builds that space as the cross product of
 Example 3.1's headline number — 70 vCPUs x 260 GB of memory = 18,200
 equivalent configurations for a single plan — is exposed verbatim by
 :func:`vm_configuration_count`.
+
+Only the size features depend on the query instance, and only through
+``profile_plan``.  The enumerator therefore keeps the node-count and
+execution options per query table set, one :class:`Placement` per
+execution option and, per ``(plan, stats, tables, execution)``, the
+size + indicator feature prefix, for the last :data:`PREFIX_CAPACITY`
+combinations; a repeated plan (the Interface hands out one shared plan
+per distinct SQL) skips profiling.  Every call still builds fresh
+candidates with their own ``features`` and ``clusters`` dicts.
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ from dataclasses import dataclass, field
 
 from repro.cloud.federation import CloudFederation
 from repro.cloud.vm import Cluster
+from repro.common.lru import LruCache
 from repro.common.units import bytes_to_mib
 from repro.common.validation import require, require_positive
 from repro.ires.deployment import Deployment
@@ -28,8 +38,13 @@ from repro.plans.logical import LogicalPlan
 from repro.plans.physical import EnginePlacement, Placement, profile_plan
 from repro.plans.statistics import TableStats
 
+#: Feature prefixes (per plan, stats, tables and execution option) one
+#: enumerator keeps: two execution options for each of the 346 distinct
+#: MIDAS query instances fit.
+PREFIX_CAPACITY = 1024
 
-@dataclass
+
+@dataclass(slots=True)
 class QepCandidate:
     """One equivalent QEP: execution choice + cluster configuration."""
 
@@ -91,6 +106,12 @@ class QepEnumerator:
         self.instance_types = {k.lower(): v for k, v in instance_types.items()}
         self.node_options = {k.lower(): list(v) for k, v in node_options.items()}
         self.fixed_execution = fixed_execution
+        # One entry per distinct query table set / execution option: a
+        # handful per federation.
+        self._skeletons: dict[tuple[str, ...], tuple] = {}
+        self._placements: dict[EnginePlacement, Placement] = {}
+        self._prefixes = LruCache(PREFIX_CAPACITY)
+        self._stats_seen = LruCache(4)
 
     def feature_names(self, tables: tuple[str, ...]) -> tuple[str, ...]:
         """Feature vector layout for a query over ``tables``.
@@ -147,42 +168,20 @@ class QepEnumerator:
         ``None`` (the default, and the permissive-governance path) is
         byte-for-byte the historical behavior.
         """
-        sites = self._sites(tables)
-        per_site_options = []
-        for site in sites:
-            options = self.node_options.get(site)
-            require(options is not None and len(options) > 0,
-                    f"no node options for site {site!r}")
-            per_site_options.append([(site, count) for count in options])
-
-        candidates: list[QepCandidate] = []
-        indicator_options = self._execution_indicator_options(tables)
-        executions = self._execution_options(tables)
+        per_site_options, executions, indicator_options = self._skeleton(tables)
         if constraint is not None:
             executions = [e for e in executions if constraint.permits(e.site)]
+        candidates: list[QepCandidate] = []
+        provision = self.federation.provision
         for execution in executions:
-            placement = self.deployment.placement_for(execution)
-            # Sizes do not depend on node counts: profile once per placement.
-            profile = profile_plan(plan, stats, placement)
-            size_features = {
-                f"size_{table.lower()}_mib": bytes_to_mib(
-                    profile.effective_table_bytes.get(table.lower(), 0.0)
-                )
-                for table in tables
-            }
-            for indicator in indicator_options:
-                flag = 1.0 if indicator == execution else 0.0
-                size_features[f"exec_{indicator.engine}_{indicator.site}"] = flag
+            placement = self._placement(execution)
+            prefix = self._prefix(plan, stats, tables, placement, indicator_options)
             for combo in itertools.product(*per_site_options):
-                clusters = {
-                    site: self.federation.provision(
-                        site, self.instance_types[site], count
-                    )
-                    for site, count in combo
-                }
-                features = dict(size_features)
-                for site, count in combo:
-                    features[f"nodes_{site}"] = float(count)
+                clusters = {}
+                features = dict(prefix)
+                for site, instance, name, count in combo:
+                    clusters[site] = provision(site, instance, count)
+                    features[name] = float(count)
                 candidates.append(
                     QepCandidate(
                         query_key=query_key,
@@ -192,3 +191,74 @@ class QepEnumerator:
                     )
                 )
         return candidates
+
+    def _skeleton(self, tables: tuple[str, ...]):
+        """The parameter-independent part of a query's QEP space: the
+        ``(site, instance type, feature name, node count)`` options per
+        site, the execution options and the k-1 indicator options.
+        Shared across calls, so retained candidates share their key
+        strings too."""
+        skeleton = self._skeletons.get(tables)
+        if skeleton is None:
+            per_site_options = []
+            for site in self._sites(tables):
+                options = self.node_options.get(site)
+                require(options is not None and len(options) > 0,
+                        f"no node options for site {site!r}")
+                instance = self.instance_types[site]
+                name = f"nodes_{site}"
+                per_site_options.append(
+                    [(site, instance, name, count) for count in options]
+                )
+            skeleton = self._skeletons[tables] = (
+                per_site_options,
+                self._execution_options(tables),
+                self._execution_indicator_options(tables),
+            )
+        return skeleton
+
+    def _placement(self, execution: EnginePlacement) -> Placement:
+        placement = self._placements.get(execution)
+        if placement is None:
+            placement = self._placements[execution] = self.deployment.placement_for(
+                execution
+            )
+        return placement
+
+    def _prefix(
+        self,
+        plan: LogicalPlan,
+        stats: dict[str, TableStats],
+        tables: tuple[str, ...],
+        placement: Placement,
+        indicator_options: list[EnginePlacement],
+    ) -> dict[str, float]:
+        """Size features (one ``profile_plan``) + execution indicators.
+
+        Keyed by the identities of ``plan`` and ``stats``; the entry holds
+        both objects, so a recycled ``id()`` can never match it.  Only a
+        ``stats`` object seen before is cached: per-call statistics (the
+        sampled inputs of profiling runs) never repeat, and caching them
+        would pin tens of KB of statistics per entry.
+        """
+        execution = placement.execution
+        key = (id(plan), id(stats), tables, execution)
+        cached = self._prefixes.get(key)
+        if cached is not None and cached[0] is plan and cached[1] is stats:
+            return cached[2]
+        # Sizes do not depend on node counts: profile once per placement.
+        profile = profile_plan(plan, stats, placement)
+        prefix = {
+            f"size_{table.lower()}_mib": bytes_to_mib(
+                profile.effective_table_bytes.get(table.lower(), 0.0)
+            )
+            for table in tables
+        }
+        for indicator in indicator_options:
+            flag = 1.0 if indicator == execution else 0.0
+            prefix[f"exec_{indicator.engine}_{indicator.site}"] = flag
+        if self._stats_seen.get(id(stats)) is stats:
+            self._prefixes.put(key, (plan, stats, prefix))
+        else:
+            self._stats_seen.put(id(stats), stats)
+        return prefix

@@ -162,6 +162,12 @@ class IReSPlatform:
 
     # Pipeline ---------------------------------------------------------------
 
+    def receive(
+        self, key: str, params: dict, policy: UserPolicy | None = None
+    ) -> QueryRequest:
+        """Step 1: render the template and validate the query."""
+        return self.interface.receive(self.template(key).render(params), policy)
+
     def candidates_for(
         self,
         key: str,
@@ -178,13 +184,12 @@ class IReSPlatform:
         applies while building the space (forbidden execution sites are
         never materialized, let alone costed).
         """
-        template = self.template(key)
-        request = self.interface.receive(template.render(params))
+        request = self.receive(key, params)
         candidates = self.enumerator.enumerate(
             key,
             request.plan,
             self.stats if stats is None else stats,
-            template.tables,
+            self.template(key).tables,
             constraint=constraint,
         )
         return request, candidates
@@ -196,10 +201,16 @@ class IReSPlatform:
         candidate: QepCandidate,
         tick: int,
         stats: dict[str, TableStats] | None = None,
+        *,
+        request: QueryRequest | None = None,
     ) -> QueryExecution:
-        """Execute a given candidate and log it (history building)."""
-        template = self.template(key)
-        request = self.interface.receive(template.render(params))
+        """Execute a given candidate and log it (history building).
+
+        ``request`` is the already-received query for ``params`` (from
+        :meth:`candidates_for`), so the caller's parse is reused.
+        """
+        if request is None:
+            request = self.receive(key, params)
         # The executor appends to the history, so it runs under the
         # template's lock: a concurrent fit on this template can never
         # observe a torn window, and other templates are unaffected.
@@ -228,8 +239,7 @@ class IReSPlatform:
         (a session snapshot); the default refits through the serving
         layer only when the history moved since the last fit.
         """
-        template = self.template(key)
-        request = self.interface.receive(template.render(params), policy)
+        request = self.receive(key, params, policy)
         return self.submit_request(key, request, tick, cost_model=cost_model)
 
     def submit_request(

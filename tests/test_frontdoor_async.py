@@ -19,7 +19,11 @@ blocked thread.  These suites pin:
 """
 
 import asyncio
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -185,3 +189,22 @@ class TestAsyncSurface:
         reports = asyncio.run(drive())
         assert len(reports) == 16
         gateway.close()
+
+
+def test_importing_the_gateway_does_not_import_asyncio():
+    """Only the asyncio surface needs asyncio, so it is imported there."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    completed = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, repro.federation; print('asyncio' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == "False"
