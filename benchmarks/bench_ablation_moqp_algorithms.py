@@ -16,8 +16,6 @@ from repro.moqp.nsga2 import Nsga2Config
 from repro.moqp.nsga_g import NsgaGConfig
 from repro.moqp.pareto import hypervolume_2d, pareto_front_indices
 from repro.moqp.wsm import normalise_objectives
-from repro.plans.binder import plan_sql
-from repro.plans.optimizer import optimize
 from repro.tpch.queries import TPCH_QUERIES
 from repro.workloads.tpch_runner import TpchFederationConfig, TpchFederationWorkload
 
@@ -35,12 +33,8 @@ def run_algorithm_ablation():
     )
     history = workload.build_history("q12", 40)
     cost_model = DreamStrategy().fit(history)
-    template = TPCH_QUERIES["q12"]
-    params = template.sample_params(workload._param_rng)
-    plan = optimize(plan_sql(template.render(params), workload.dataset.catalog))
-    candidates = workload.enumerator.enumerate(
-        "q12", plan, workload.dataset.logical_stats, template.tables
-    )
+    params = TPCH_QUERIES["q12"].sample_params(workload._param_rng)
+    candidates = workload.candidates("q12", params)
     metrics = ("time", "money")
     optimizer = MultiObjectiveOptimizer()
 

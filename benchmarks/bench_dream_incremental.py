@@ -30,8 +30,6 @@ import numpy as np
 
 from repro.common.rng import RngStream
 from repro.core import DreamEstimator, ExecutionHistory, OnlineDreamEstimator
-from repro.plans.binder import plan_sql
-from repro.plans.optimizer import optimize
 from repro.tpch.queries import TPCH_QUERIES
 from repro.workloads.tpch_runner import TpchFederationConfig, TpchFederationWorkload
 
@@ -82,10 +80,7 @@ def run_dream_incremental(quick: bool = False) -> IncrementalReport:
     source = workload.build_history("q12", warmup_runs + ticks)
 
     params = template.sample_params(RngStream(23, "bench-params"))
-    plan = optimize(plan_sql(template.render(params), workload.dataset.catalog))
-    candidates = workload.enumerator.enumerate(
-        "q12", plan, workload.dataset.logical_stats, template.tables
-    )
+    candidates = workload.candidates("q12", params)
     feature_names = source.feature_names
     matrix = np.array(
         [[c.features[name] for name in feature_names] for c in candidates],

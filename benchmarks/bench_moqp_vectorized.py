@@ -12,7 +12,7 @@ This benchmark measures, at n ∈ {1,000 / 5,000 / 18,200} points of the
 real Example 3.1 configuration space:
 
 * **exact front** — vectorized sort-assisted `pareto_front_indices` vs
-  the retained scalar oracle: identical indices required, speedup
+  the scalar oracle (`tests/moqp_oracles.py`): identical indices required, speedup
   reported (≥ 10x asserted at the largest n);
 * **NSGA generation throughput** — NSGA-II and NSGA-G over a
   matrix-backed `EnumeratedProblem` (one batched evaluation per
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -39,8 +40,12 @@ import numpy as np
 from repro.ires.enumerator import vm_configuration_space
 from repro.moqp.nsga2 import Nsga2, Nsga2Config
 from repro.moqp.nsga_g import NsgaG, NsgaGConfig
-from repro.moqp.pareto import pareto_front_indices, pareto_front_indices_py
+from repro.moqp.pareto import pareto_front_indices
 from repro.moqp.problem import EnumeratedProblem
+
+# The scalar oracle lives with the tests, one directory up.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.moqp_oracles import pareto_front_indices_py  # noqa: E402
 
 RESULTS_DIR = Path(__file__).parent / "results"
 JSON_PATH = RESULTS_DIR / "BENCH_moqp.json"

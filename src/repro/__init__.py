@@ -11,7 +11,8 @@ Public API, top-down:
 * :mod:`repro.experiments` — one driver per paper table/figure.
 
 The engine room (:class:`repro.ires.IReSPlatform`, the serving layer) is
-importable for white-box work but constructed only by the gateway.
+importable for white-box work but constructed only by the gateway; it
+provides the stage functions of Figure 1 and the gateway sequences them.
 
 See README.md for a tour.
 """

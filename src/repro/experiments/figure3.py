@@ -29,8 +29,6 @@ from repro.moqp.pareto import hypervolume_2d, pareto_front_indices
 from repro.moqp.scalar_ga import ScalarGaConfig, ScalarGeneticOptimizer
 from repro.moqp.selection import best_in_pareto
 from repro.moqp.wsm import WeightedSumModel, normalise_objectives
-from repro.plans.binder import plan_sql
-from repro.plans.optimizer import optimize
 from repro.tpch.queries import TPCH_QUERIES
 from repro.workloads.tpch_runner import TpchFederationConfig, TpchFederationWorkload
 
@@ -92,12 +90,8 @@ def run_figure3(config: Figure3Config | None = None) -> Figure3Result:
     history = workload.build_history(config.query, config.history_runs)
     cost_model = DreamStrategy(r2_required=0.8).fit(history)
 
-    template = TPCH_QUERIES[config.query]
-    params = template.sample_params(workload._param_rng)
-    plan = optimize(plan_sql(template.render(params), workload.dataset.catalog))
-    candidates = workload.enumerator.enumerate(
-        config.query, plan, workload.dataset.logical_stats, template.tables
-    )
+    params = TPCH_QUERIES[config.query].sample_params(workload._param_rng)
+    candidates = workload.candidates(config.query, params)
 
     optimizer = MultiObjectiveOptimizer(
         OptimizerConfig(

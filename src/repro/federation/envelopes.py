@@ -108,11 +108,11 @@ class ObserveRequest:
 class BatchObserveRequest:
     """A pre-coalesced batch of profiling executions for one template.
 
-    The rows are applied in order under one template-lock scope, with
-    the query parsed and the QEP space enumerated once per distinct
-    query instance instead of once per row — the envelope a tenant that
-    already aggregates its execution log should send instead of one
-    :class:`ObserveRequest` per row.
+    The rows are admitted atomically (all or none) and applied in
+    order, one pipeline run each; a repeated query instance is a
+    prepared-query hit — the envelope a tenant that already aggregates
+    its execution log should send instead of one :class:`ObserveRequest`
+    per row.
     """
 
     template: str

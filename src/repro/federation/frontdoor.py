@@ -742,22 +742,9 @@ class FrontDoor:
                 # the flush died — a crash right after would lose
                 # acknowledged work.
                 gateway._durability_sync()
-        # Governance hook: chain one audit record per non-empty flush
-        # (per-item submit/observe/denial records were appended as the
-        # items ran above).  Before the rebalance tick, so a cadence
-        # cycle's record lands after the flush that triggered it.
-        gateway._audit_flush(batch)
-        # Elastic-topology control loop: a successful flush is the
-        # cadence tick (a no-op unless the gateway was configured with
-        # FederationConfig(rebalance=...)).  After _finalize, so the
-        # flush flag is already released and tickets are resolved —
-        # rebalancing never extends the batch's latency window.
-        gateway._auto_rebalance()
-        # Durability batch boundary: under fsync="batch" the flush's
-        # journaled records reach stable storage here, once per batch
-        # instead of once per append.  Last, so the flush-audit and any
-        # rebalance topology record make the same sync.
-        gateway._durability_sync()
+        # The gateway's per-flush hooks: audit record, rebalance
+        # cadence, journal sync.
+        gateway._flushed(batch)
         return batch
 
     def _prefit_executor(self) -> ThreadPoolExecutor:

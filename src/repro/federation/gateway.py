@@ -15,6 +15,15 @@ Everything above the gateway — MIDAS, the examples, the experiments, the
 workload runners, the CLI — goes through this surface; nothing outside
 ``repro.federation`` and ``repro.ires`` constructs the engine room
 directly.
+
+The gateway sequences Figure 1 exactly once, in :meth:`_run`:
+:meth:`~FederationGateway.submit`, :meth:`~FederationGateway.observe`,
+pinned sessions (which contribute a fixed model and a cached enumerate
+stage) and the batched front door (which contributes admission-order
+ticks and coalesced fits) are all entry points into that one sequence of
+engine-room stage functions.  Governance, the durability journal and
+the audit chain attach as hooks at fixed points of it — each a no-op on
+a gateway configured without that plane.
 """
 
 from __future__ import annotations
@@ -57,12 +66,12 @@ from repro.federation.frontdoor import FrontDoor, IngestTicket
 from repro.federation.registry import create_serving, create_strategy
 from repro.federation.session import GatewaySession
 from repro.common.errors import EstimationError
-from repro.common.lru import LruCache
 from repro.core.cache import CacheStats
 from repro.core.history import ExecutionHistory
 from repro.ires.deployment import Deployment
 from repro.ires.enumerator import QepCandidate, QepEnumerator
 from repro.ires.executor import Executor
+from repro.ires.interface import QueryRequest
 from repro.ires.modelling import EstimationStrategy, FittedCostModel
 from repro.ires.optimizer import MultiObjectiveOptimizer, OptimizerConfig
 from repro.ires.platform import IReSPlatform
@@ -130,7 +139,6 @@ class FederationGateway:
             simulator=simulator,
             strategy=self._strategy,
             optimizer=optimizer,
-            max_fit_workers=self.config.max_fit_workers,
             serving_factory=lambda modelling: create_serving(
                 self.config, modelling
             ),
@@ -280,12 +288,22 @@ class FederationGateway:
         return self.engine.serving.template_lock(key)
 
     # Durability -----------------------------------------------------------
+    #
+    # The journal hooks of the pipeline: each is a no-op on a gateway
+    # configured without durability.
+
+    def _journal_ready(self) -> None:
+        """Refuse traffic while a WAL directory awaits ``recover()``."""
+        if self._durability is not None:
+            self._durability.ensure_ready()
 
     def _journal_row(self, key: str, tick: int, history, rotation: int | None):
         """Journal the history append that just committed: the row, the
         rotation counter it consumed, the gateway tick counter, and the
         simulator's post-draw RNG position (so a recovered gateway
         resumes the same noise sequence)."""
+        if self._durability is None:
+            return
         row = history.observations[-1]
         simulator = getattr(self.engine.executor, "simulator", None)
         self._durability.note_row(
@@ -305,7 +323,7 @@ class FederationGateway:
 
     def _journal_tick(self) -> None:
         """Journal a tick consumed without a history append (plan-only
-        submissions, or a submission failing after tick assignment)."""
+        submissions, or a request failing after tick assignment)."""
         if self._durability is not None:
             self._durability.note_tick(self._tick)
 
@@ -439,31 +457,6 @@ class FederationGateway:
             )
         return constraint
 
-    def _checked_space(
-        self,
-        key: str,
-        principal: Principal | None,
-        constraint: PlanConstraint | None,
-        candidates: list[QepCandidate],
-    ) -> list[QepCandidate]:
-        """Deny (never return) an empty policy-filtered QEP space.
-
-        Unreachable for the rule shapes :class:`PolicyEngine` compiles
-        today (a site that is both needed and forbidden is already
-        *impossible* upstream) — kept as the last line of defence so a
-        future rule kind can never make the optimizer "choose" from
-        nothing.
-        """
-        if constraint is not None and not candidates:
-            self._deny(
-                key,
-                principal,
-                constraint.rule_ids,
-                f"no admissible plan for {key!r}: every execution site was "
-                "excluded by policy",
-            )
-        return candidates
-
     def audit_report(self, limit: int | None = None) -> AuditReport:
         """Typed audit-log report: chain head, live end-to-end
         verification, traffic breakdown by record kind, and (up to
@@ -506,20 +499,7 @@ class FederationGateway:
         """The live audit log (``None`` when auditing is off)."""
         return self._audit
 
-    def _audit_flush(self, batch: IngestBatch) -> None:
-        """Front-door hook: chain one record per non-empty flush."""
-        if len(batch) == 0:
-            return
-        self._audit_note(
-            "batch_flush",
-            detail=(
-                f"trigger={batch.trigger} items={len(batch)} "
-                f"submits={batch.submits} observes={batch.observes} "
-                f"failed={batch.failed}"
-            ),
-        )
-
-    # Profiling ------------------------------------------------------------
+    # The pipeline ---------------------------------------------------------
 
     def candidates(
         self,
@@ -537,10 +517,8 @@ class FederationGateway:
         """
         self._require_template(key)
         constraint = self._constraint_for(key, principal)
-        _request, candidates = self.engine.candidates_for(
-            key, params, stats=stats, constraint=constraint
-        )
-        return self._checked_space(key, principal, constraint, candidates)
+        query = self.engine.receive(key, params)
+        return self._space(key, query, principal, constraint, stats)
 
     def observe(
         self,
@@ -556,79 +534,217 @@ class FederationGateway:
         rotation through the enumerated space (exploration).  ``stats``
         overrides table statistics for sampled-input profiling.
         """
+        return self._run(request, candidate=candidate, stats=stats)
+
+    def submit(self, request: SubmitRequest) -> SubmissionReport:
+        """The full Figure 1 pipeline for one submission envelope."""
+        return self._run(request)
+
+    def _run(
+        self,
+        request: SubmitRequest | ObserveRequest,
+        *,
+        candidate: QepCandidate | None = None,
+        stats: dict[str, TableStats] | None = None,
+        cost_model: FittedCostModel | None = None,
+        space_of=None,
+        execute: bool = True,
+    ) -> SubmissionReport | ObservationReport:
+        """The Figure 1 pipeline: the one sequence every entry point runs.
+
+        Each stage is an engine-room function or a gateway hook:
+
+        * admit — known template, journal ready, governance constraint
+          (an inadmissible request, or an explicit ``candidate`` at a
+          forbidden site, is audited and denied);
+        * parse — the Interface (one parse per distinct SQL);
+        * enumerate — the policy-filtered QEP space; skipped for an
+          explicit ``candidate``, and replaced by a pinned session's
+          cached ``(space, features matrix)`` through ``space_of``;
+        * under the tick scope: choose — fit-or-fetch (or the pinned
+          ``cost_model``), Pareto search and Algorithm 2 for a
+          submission, ``candidate_index`` or rotation for an
+          observation — then execute (unless plan-only) and journal;
+        * audit, then the typed report.
+        """
         key = request.template
+        submit = isinstance(request, SubmitRequest)
+        principal = request.principal
+        engine = self.engine
+        constraint = self._admit(key, principal, candidate)
+        query = engine.receive(key, request.params, request.policy if submit else None)
+        space = matrix = None
+        if candidate is None and space_of is not None:
+            space, matrix = space_of(query, principal, constraint)
+        elif candidate is None:
+            space = self._space(key, query, principal, constraint, stats)
+        pinned = cost_model is not None
+        rotation = result = None
+        with self._tick_scope(key, request.tick):
+            tick = self._resolve_tick(request.tick)
+            try:
+                if submit:
+                    if cost_model is None:
+                        cost_model = self._pin(key)[0]
+                    result = engine.plan(query, space, cost_model, matrix)
+                    candidate = result.chosen_candidate
+                elif candidate is None:
+                    candidate, rotation = self._explore(key, request, space)
+                execution = (
+                    engine.execute(key, candidate, query, tick, stats)
+                    if execute
+                    else None
+                )
+            except Exception:
+                # The tick was already consumed; journal that, or a
+                # recovered gateway's counter would drift from the
+                # uninterrupted one's.
+                self._journal_tick()
+                raise
+            history = engine.history(key)
+            if execution is None:
+                self._journal_tick()
+            else:
+                self._journal_row(key, tick, history, rotation)
+            size, version = history.size, history.version
+        self._audit_note(
+            "submit" if submit else "observe",
+            template=key,
+            principal=principal,
+            tick=tick,
+            detail=(
+                f"{'chose' if submit else 'ran'} "
+                f"{candidate.execution.engine}/{candidate.execution.site}"
+                + ("" if execute else " [plan-only]")
+            ),
+        )
+        costs = None if execution is None else Executor.costs_of(execution.metrics)
+        if not submit:
+            return ObservationReport(
+                template=key,
+                tick=tick,
+                candidate=candidate,
+                measured={metric: costs[metric] for metric in history.metric_names},
+                history_size=size,
+                history_version=version,
+            )
+        result.execution = execution
+        metrics = request.policy.metrics
+        return SubmissionReport(
+            template=key,
+            tick=tick,
+            params=dict(request.params),
+            policy=request.policy,
+            candidate_count=result.candidate_count,
+            chosen=candidate,
+            predicted_costs=dict(zip(metrics, result.chosen.objectives)),
+            measured_costs=(
+                None if costs is None else {metric: costs[metric] for metric in metrics}
+            ),
+            errors=None if execution is None else result.prediction_error(metrics),
+            cost_model=cost_model,
+            pinned=pinned,
+            result=result,
+            moqp_algorithm=result.moqp_algorithm,
+            moqp_exact_fallback=result.moqp_exact_fallback,
+        )
+
+    def _admit(
+        self, key: str, principal: Principal | None, candidate: QepCandidate | None
+    ) -> PlanConstraint | None:
+        """The admit stage: a known template, a journal ready for traffic,
+        and the request's governance constraint.  An explicitly supplied
+        QEP bypasses the filtered enumeration, so its site is checked
+        here instead."""
         self._require_template(key)
-        if self._durability is not None:
-            self._durability.ensure_ready()
-        constraint = self._constraint_for(key, request.principal)
+        self._journal_ready()
+        constraint = self._constraint_for(key, principal)
         if (
             constraint is not None
             and candidate is not None
             and not constraint.permits(candidate.execution.site)
         ):
-            # An explicitly supplied QEP bypasses the filtered
-            # enumeration, so it is checked here instead.
             self._deny(
                 key,
-                request.principal,
+                principal,
                 constraint.rule_ids,
                 f"candidate executes at {candidate.execution.site!r}, which "
                 f"policy forbids for this principal",
             )
-        rotation = None
-        with self._tick_scope(key, request.tick):
-            tick = self._resolve_tick(request.tick)
-            if candidate is None:
-                query, space = self.engine.candidates_for(
-                    key, request.params, stats=stats, constraint=constraint
-                )
-                self._checked_space(key, request.principal, constraint, space)
-                if request.candidate_index is not None:
-                    if request.candidate_index >= len(space):
-                        raise EnvelopeError(
-                            f"candidate_index {request.candidate_index} out of range "
-                            f"for a {len(space)}-candidate QEP space",
-                            template=key,
-                        )
-                    candidate = space[request.candidate_index]
-                else:
-                    with self._lock:
-                        index = self._rotation.get(key, 0)
-                        rotation = self._rotation[key] = index + 1
-                    candidate = space[index % len(space)]
-            else:
-                query = self.engine.receive(key, request.params)
-            execution = self.engine.observe(
-                key, request.params, candidate, tick, stats=stats, request=query
+        return constraint
+
+    def _space(
+        self,
+        key: str,
+        query: QueryRequest,
+        principal: Principal | None,
+        constraint: PlanConstraint | None,
+        stats: dict[str, TableStats] | None = None,
+    ) -> list[QepCandidate]:
+        """The enumerate stage: the QEP space, filtered by ``constraint``.
+
+        An empty filtered space is denied, never returned.  That is
+        unreachable for the rule shapes :class:`PolicyEngine` compiles
+        today (a site that is both needed and forbidden is already
+        *impossible* upstream) — kept as the last line of defence so a
+        future rule kind can never make the optimizer "choose" from
+        nothing.
+        """
+        space = self.engine.enumerate(key, query, stats=stats, constraint=constraint)
+        if constraint is not None and not space:
+            self._deny(
+                key,
+                principal,
+                constraint.rule_ids,
+                f"no admissible plan for {key!r}: every execution site was "
+                "excluded by policy",
             )
+        return space
+
+    def _explore(
+        self, key: str, request: ObserveRequest, space: list[QepCandidate]
+    ) -> tuple[QepCandidate, int | None]:
+        """An observation's QEP: the envelope's ``candidate_index``, or the
+        next step of the template's deterministic rotation (returned too,
+        for the journal)."""
+        index = request.candidate_index
+        if index is not None:
+            if index >= len(space):
+                raise EnvelopeError(
+                    f"candidate_index {index} out of range "
+                    f"for a {len(space)}-candidate QEP space",
+                    template=key,
+                )
+            return space[index], None
+        with self._lock:
+            index = self._rotation.get(key, 0)
+            rotation = self._rotation[key] = index + 1
+        return space[index % len(space)], rotation
+
+    def _pin(self, key: str) -> tuple[FittedCostModel, int]:
+        """Fit-or-fetch the template's snapshot plus its history version,
+        atomically with respect to appends on that template.  A history
+        too short to fit raises the typed
+        :class:`~repro.federation.errors.InsufficientHistoryError`."""
+        self._require_template(key)
+        serving = self.engine.serving
+        with serving.template_lock(key):
             history = self.engine.history(key)
-            size, version = history.size, history.version
-            if self._durability is not None:
-                self._journal_row(key, tick, history, rotation)
-        costs = Executor.costs_of(execution.metrics)
-        self._audit_note(
-            "observe",
-            template=key,
-            principal=request.principal,
-            tick=tick,
-            detail=(
-                f"ran {candidate.execution.engine}/{candidate.execution.site}"
-            ),
-        )
-        return ObservationReport(
-            template=key,
-            tick=tick,
-            candidate=candidate,
-            measured={metric: costs[metric] for metric in history.metric_names},
-            history_size=size,
-            history_version=version,
-        )
+            if history.size == 0:
+                raise InsufficientHistoryError(
+                    f"no execution history for {key!r}; run observe() a "
+                    "few times first",
+                    template=key,
+                )
+            try:
+                model = serving.model(key)
+            except ShardedServingError:
+                raise  # backend infrastructure broke; not a history problem
+            except EstimationError as error:
+                raise InsufficientHistoryError(str(error), template=key) from error
+            return model, history.version
 
-    # Submission -----------------------------------------------------------
-
-    def submit(self, request: SubmitRequest) -> SubmissionReport:
-        """The full Figure 1 pipeline for one submission envelope."""
-        return self._submit(request)
+    # Sessions -------------------------------------------------------------
 
     def submit_many(
         self, requests, *, execute: bool = True
@@ -757,8 +873,7 @@ class FederationGateway:
                     "gateway is closed; no further requests can be admitted",
                     phase="ingest",
                 )
-            if self._durability is not None:
-                self._durability.ensure_ready()
+            self._journal_ready()
             if self._front_door is None:
                 self._front_door = FrontDoor(self)
             return self._front_door
@@ -783,138 +898,29 @@ class FederationGateway:
         serving.refresh_batch(stale)
         return True
 
+    def _flushed(self, batch: IngestBatch) -> None:
+        """Front-door hook, once per finished flush (tickets resolved,
+        flush flag released): one audit record per non-empty flush, then
+        the rebalance cadence tick (so a cycle's record follows the flush
+        that triggered it), then the journal sync — under
+        ``fsync="batch"`` a flush's records reach stable storage here,
+        once per batch, with the flush-audit and rebalance records."""
+        if len(batch):
+            self._audit_note(
+                "batch_flush",
+                detail=(
+                    f"trigger={batch.trigger} items={len(batch)} "
+                    f"submits={batch.submits} observes={batch.observes} "
+                    f"failed={batch.failed}"
+                ),
+            )
+        self._auto_rebalance()
+        self._durability_sync()
+
     def ingest_stats(self) -> IngestStats | None:
         """Front-door admission counters; ``None`` until first use."""
         door = self._front_door
         return None if door is None else door.stats()
-
-    def _pin(self, key: str) -> tuple[FittedCostModel, int]:
-        """Fit-or-fetch the template's snapshot plus its history version,
-        atomically with respect to appends on that template."""
-        self._require_template(key)
-        serving = self.engine.serving
-        with serving.template_lock(key):
-            try:
-                model = serving.model(key)
-            except ShardedServingError:
-                raise  # backend infrastructure broke; not a history problem
-            except EstimationError as error:
-                raise InsufficientHistoryError(str(error), template=key) from error
-            return model, self.engine.history(key).version
-
-    def _submit(
-        self,
-        request: SubmitRequest,
-        *,
-        cost_model: FittedCostModel | None = None,
-        enumerations: LruCache | None = None,
-        pinned: bool = False,
-        execute: bool = True,
-    ) -> SubmissionReport:
-        key = request.template
-        self._require_template(key)
-        if self._durability is not None:
-            self._durability.ensure_ready()
-        constraint = self._constraint_for(key, request.principal)
-        engine = self.engine
-        query_request = engine.receive(key, request.params, request.policy)
-        candidates = features_matrix = cached = None
-        if enumerations is not None:
-            # Cache key carries the constraint signature: one pinned
-            # session can serve principals with different admissible
-            # spaces without ever leaking a filtered space between them.
-            cache_key = (
-                query_request.sql,
-                None if constraint is None else constraint.signature,
-            )
-            cached = enumerations.get(cache_key)
-        if cached is not None:
-            candidates, features_matrix = cached
-        elif enumerations is not None or constraint is not None:
-            # Sessions and constrained requests enumerate here (the engine
-            # room stays governance-blind); the permissive single-call
-            # path leaves enumeration to submit_request, exactly as before.
-            candidates = engine.enumerator.enumerate(
-                key,
-                query_request.plan,
-                engine.stats,
-                engine.template(key).tables,
-                constraint=constraint,
-            )
-            self._checked_space(key, request.principal, constraint, candidates)
-            if enumerations is not None:
-                features_matrix = MultiObjectiveOptimizer.candidate_matrix(
-                    candidates, cost_model
-                )
-                enumerations.put(cache_key, (candidates, features_matrix))
-        with self._tick_scope(key, request.tick):
-            tick = self._resolve_tick(request.tick)
-            try:
-                if cost_model is None:
-                    if engine.history(key).size == 0:
-                        raise InsufficientHistoryError(
-                            f"no execution history for {key!r}; run observe() a "
-                            "few times first",
-                            template=key,
-                        )
-                    # Fetch the serving snapshot here (not inside the engine)
-                    # so a too-short history surfaces as the typed
-                    # InsufficientHistoryError; same model, same locks.
-                    cost_model, _version = self._pin(key)
-                result = engine.submit_request(
-                    key,
-                    query_request,
-                    tick,
-                    cost_model=cost_model,
-                    candidates=candidates,
-                    features_matrix=features_matrix,
-                    execute=execute,
-                )
-            except Exception:
-                # The tick was already consumed; journal that, or a
-                # recovered gateway's counter would drift from the
-                # uninterrupted one's.
-                self._journal_tick()
-                raise
-            if self._durability is not None:
-                if result.execution is not None:
-                    self._journal_row(key, tick, engine.history(key), None)
-                else:
-                    self._journal_tick()
-        metrics = request.policy.metrics
-        predicted = dict(zip(metrics, result.chosen.objectives))
-        measured = errors = None
-        if result.execution is not None:
-            costs = Executor.costs_of(result.execution.metrics)
-            measured = {metric: costs[metric] for metric in metrics}
-            errors = result.prediction_error(metrics)
-        chosen = result.chosen_candidate
-        self._audit_note(
-            "submit",
-            template=key,
-            principal=request.principal,
-            tick=tick,
-            detail=(
-                f"chose {chosen.execution.engine}/{chosen.execution.site}"
-                + ("" if execute else " [plan-only]")
-            ),
-        )
-        return SubmissionReport(
-            template=key,
-            tick=tick,
-            params=dict(request.params),
-            policy=request.policy,
-            candidate_count=result.candidate_count,
-            chosen=result.chosen_candidate,
-            predicted_costs=predicted,
-            measured_costs=measured,
-            errors=errors,
-            cost_model=result.cost_model,
-            pinned=pinned,
-            result=result,
-            moqp_algorithm=result.moqp_algorithm,
-            moqp_exact_fallback=result.moqp_exact_fallback,
-        )
 
     # Models ---------------------------------------------------------------
 
@@ -925,7 +931,7 @@ class FederationGateway:
         if keys is not None:
             for key in keys:
                 self._require_template(key)
-        return self.engine.refresh_models(keys, parallel=parallel)
+        return self.engine.serving.refresh(keys, parallel=parallel)
 
     def model(self, key: str) -> FittedCostModel:
         """The template's current fitted model (refit only when stale)."""
@@ -1005,9 +1011,13 @@ class FederationGateway:
             if self._rebalance_policy is None:
                 self._rebalance_policy = RebalancePolicy()
             policy = self._rebalance_policy
-        self._last_rebalance = serving.rebalance(policy)
-        self._audit_note("rebalance", detail=self._last_rebalance.describe())
+        self._rebalance_cycle(policy)
         return self.topology_report()
+
+    def _rebalance_cycle(self, policy: RebalancePolicy) -> None:
+        """Apply one policy cycle, keep its outcome and audit it."""
+        self._last_rebalance = self.engine.serving.rebalance(policy)
+        self._audit_note("rebalance", detail=self._last_rebalance.describe())
 
     def _rebalance_ticker(self, cadence: float) -> None:
         """Daemon control loop: one policy cycle every
@@ -1021,11 +1031,9 @@ class FederationGateway:
                 if self._closed:
                     return
             try:
-                outcome = self.engine.serving.rebalance(policy)
+                self._rebalance_cycle(policy)
             except ShardedServingError:
                 return
-            self._last_rebalance = outcome
-            self._audit_note("rebalance", detail=outcome.describe())
 
     def _auto_rebalance(self) -> None:
         """Front-door hook: one policy cycle every ``cadence_flushes``
@@ -1041,12 +1049,11 @@ class FederationGateway:
                 return
             self._flushes_since_rebalance = 0
         try:
-            self._last_rebalance = self.engine.serving.rebalance(policy)
+            self._rebalance_cycle(policy)
         except ShardedServingError:
             # close() raced the cycle; the final flush already ran, so
             # losing one advisory rebalance is harmless.
-            return
-        self._audit_note("rebalance", detail=self._last_rebalance.describe())
+            pass
 
     # Lifecycle ------------------------------------------------------------
 

@@ -145,13 +145,21 @@ class GatewaySession:
                 template=request.template,
                 phase="session",
             )
-        return self._gateway._submit(
-            request,
-            cost_model=self._model,
-            enumerations=self._enumerations,
-            pinned=True,
-            execute=execute,
+        return self._gateway._run(
+            request, cost_model=self._model, space_of=self._space, execute=execute
         )
+
+    def _space(self, query, principal, constraint):
+        """The session's enumerate stage: the gateway's, memoized per
+        query instance together with its feature matrix in the pinned
+        model's order."""
+        key = (query.sql, None if constraint is None else constraint.signature)
+        cached = self._enumerations.get(key)
+        if cached is None:
+            space = self._gateway._space(self.template, query, principal, constraint)
+            cached = (space, MultiObjectiveOptimizer.candidate_matrix(space, self._model))
+            self._enumerations.put(key, cached)
+        return cached
 
     def submit_many(
         self,

@@ -11,7 +11,9 @@ Figure 1).  Modules mirror the paper's architecture:
   final plan with Algorithm 2;
 * :mod:`repro.ires.executor` — runs the chosen QEP on the engine
   simulators and feeds the execution history;
-* :mod:`repro.ires.platform` — the facade wiring everything together.
+* :mod:`repro.ires.platform` — the stage functions over all of the
+  above (``receive``, ``enumerate``, ``plan``, ``execute``), which the
+  federation gateway sequences.
 """
 
 from repro.ires.policy import UserPolicy

@@ -1,20 +1,27 @@
-"""The IReS platform facade: Figure 1 wired end to end.
+"""The IReS engine room: the stages of Figure 1, one function each.
 
-``submit`` is the full pipeline of the paper:
-
-1. **Interface** validates the query and policy;
+1. **Interface** (:meth:`IReSPlatform.receive`) renders the template and
+   validates the query and policy;
 2. **Modelling** fits the active estimation strategy (DREAM or BML) on
-   the query's execution history;
-3. the **enumerator** builds the QEP space and the **Multi-Objective
-   Optimizer** computes a Pareto plan set over predicted cost vectors;
-4. **BestInPareto** (Algorithm 2) picks the final QEP under the policy;
-5. the **Executor** runs it on the engine simulators and appends the
-   measured costs to the history.
+   the query's execution history — through :attr:`IReSPlatform.serving`,
+   the multi-tenant snapshot layer;
+3. the **enumerator** (:meth:`IReSPlatform.enumerate`) builds the QEP
+   space and the **Multi-Objective Optimizer** (:meth:`IReSPlatform.plan`)
+   computes a Pareto plan set over predicted cost vectors;
+4. **BestInPareto** (Algorithm 2, also in :meth:`IReSPlatform.plan`)
+   picks the final QEP under the policy;
+5. the **Executor** (:meth:`IReSPlatform.execute`) runs it on the engine
+   simulators and appends the measured costs to the history.
+
+The platform only provides the stages; the sequence lives in one place,
+:meth:`repro.federation.gateway.FederationGateway._run`, which every
+entry point (submit, observe, pinned sessions, the batched front door)
+goes through.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.common.errors import EstimationError, ValidationError
 from repro.core.history import ExecutionHistory
@@ -24,7 +31,7 @@ from repro.ires.enumerator import QepCandidate, QepEnumerator
 from repro.ires.executor import Executor
 from repro.ires.interface import Interface, QueryRequest
 from repro.ires.modelling import EstimationStrategy, FittedCostModel, Modelling
-from repro.ires.optimizer import MultiObjectiveOptimizer, OptimizerConfig
+from repro.ires.optimizer import MultiObjectiveOptimizer
 from repro.ires.policy import UserPolicy
 from repro.moqp.problem import Candidate
 from repro.plans.catalog import Catalog
@@ -84,7 +91,10 @@ class SubmissionResult:
 
 
 class IReSPlatform:
-    """The paper's platform: MIDAS sits on top of this."""
+    """The paper's platform: MIDAS sits on top of this.
+
+    Constructed only by :class:`~repro.federation.gateway.FederationGateway`.
+    """
 
     def __init__(
         self,
@@ -94,9 +104,8 @@ class IReSPlatform:
         enumerator: QepEnumerator,
         simulator: MultiEngineSimulator,
         strategy: EstimationStrategy,
-        optimizer: MultiObjectiveOptimizer | None = None,
-        max_fit_workers: int | None = None,
-        serving_factory=None,
+        optimizer: MultiObjectiveOptimizer,
+        serving_factory,
     ):
         self.catalog = catalog
         self.stats = stats
@@ -104,24 +113,13 @@ class IReSPlatform:
         self.enumerator = enumerator
         self.interface = Interface(catalog, deployment)
         self.modelling = Modelling(strategy)
-        # Deferred import: repro.serving itself imports ires.modelling,
-        # so a module-level import here would be circular.
-        from repro.serving.service import EstimationService
-
         #: Multi-tenant front over the same Modelling registry: version-
         #: cached model snapshots, per-template locks, burst refresh.
-        #: ``serving_factory(modelling)`` swaps the implementation (the
-        #: gateway plugs the config-selected backend in here — e.g. the
-        #: cross-process :class:`~repro.serving.sharded
-        #: .ShardedEstimationService`); the default is the in-process
-        #: thread-scoped service.
-        if serving_factory is None:
-            self.serving = EstimationService(
-                modelling=self.modelling, max_workers=max_fit_workers
-            )
-        else:
-            self.serving = serving_factory(self.modelling)
-        self.optimizer = optimizer or MultiObjectiveOptimizer()
+        #: ``serving_factory(modelling)`` builds the config-selected
+        #: backend (in-process ``"threaded"`` or cross-process
+        #: ``"sharded"``).
+        self.serving = serving_factory(self.modelling)
+        self.optimizer = optimizer
         self.executor = Executor(simulator)
         self._templates: dict[str, QueryTemplate] = {}
 
@@ -150,17 +148,7 @@ class IReSPlatform:
     def history(self, key: str) -> ExecutionHistory:
         return self.modelling.history(key)
 
-    def refresh_models(
-        self, keys: list[str] | None = None, parallel: bool = True
-    ) -> dict[str, FittedCostModel]:
-        """Prefit (all) registered templates' models for a burst.
-
-        Delegates to the serving layer: stale templates are fitted
-        concurrently, fresh ones are returned from their snapshots.
-        """
-        return self.serving.refresh(keys, parallel=parallel)
-
-    # Pipeline ---------------------------------------------------------------
+    # Stages -----------------------------------------------------------------
 
     def receive(
         self, key: str, params: dict, policy: UserPolicy | None = None
@@ -168,14 +156,14 @@ class IReSPlatform:
         """Step 1: render the template and validate the query."""
         return self.interface.receive(self.template(key).render(params), policy)
 
-    def candidates_for(
+    def enumerate(
         self,
         key: str,
-        params: dict,
+        request: QueryRequest,
         stats: dict[str, TableStats] | None = None,
         constraint=None,
-    ) -> tuple[QueryRequest, list[QepCandidate]]:
-        """Steps 1 + 3a: validate and enumerate (no model needed).
+    ) -> list[QepCandidate]:
+        """Step 3a: the QEP space of one received query.
 
         ``stats`` overrides the platform's table statistics for this call
         (IReS-style profiling runs enumerate over sampled inputs);
@@ -184,36 +172,57 @@ class IReSPlatform:
         applies while building the space (forbidden execution sites are
         never materialized, let alone costed).
         """
-        request = self.receive(key, params)
-        candidates = self.enumerator.enumerate(
+        return self.enumerator.enumerate(
             key,
             request.plan,
             self.stats if stats is None else stats,
             self.template(key).tables,
             constraint=constraint,
         )
-        return request, candidates
 
-    def observe(
+    def plan(
+        self,
+        request: QueryRequest,
+        candidates: list[QepCandidate],
+        cost_model: FittedCostModel,
+        features_matrix=None,
+    ) -> SubmissionResult:
+        """Steps 3b-4: Pareto search under ``cost_model``, then Algorithm 2.
+
+        ``features_matrix`` optionally supplies the candidates' feature
+        rows precomputed (a pinned session reuses one per query
+        instance).  The result is plan-only: its ``execution`` is
+        ``None`` until :meth:`execute` runs the chosen QEP.
+        """
+        policy = request.policy
+        search = self.optimizer.pareto_search(
+            candidates, cost_model, policy.metrics, features_matrix=features_matrix
+        )
+        return SubmissionResult(
+            request=request,
+            cost_model=cost_model,
+            candidate_count=search.candidate_count,
+            pareto_set=search.pareto_set,
+            chosen=self.optimizer.choose(search.pareto_set, policy),
+            execution=None,
+            moqp_algorithm=search.algorithm_used,
+            moqp_exact_fallback=search.exact_fallback,
+        )
+
+    def execute(
         self,
         key: str,
-        params: dict,
         candidate: QepCandidate,
+        request: QueryRequest,
         tick: int,
         stats: dict[str, TableStats] | None = None,
-        *,
-        request: QueryRequest | None = None,
     ) -> QueryExecution:
-        """Execute a given candidate and log it (history building).
+        """Step 5: run one QEP and append its measured costs to the history.
 
-        ``request`` is the already-received query for ``params`` (from
-        :meth:`candidates_for`), so the caller's parse is reused.
+        The append runs under the template's lock: a concurrent fit on
+        this template can never observe a torn window, and other
+        templates are unaffected.
         """
-        if request is None:
-            request = self.receive(key, params)
-        # The executor appends to the history, so it runs under the
-        # template's lock: a concurrent fit on this template can never
-        # observe a torn window, and other templates are unaffected.
         with self.serving.template_lock(key):
             execution = self.executor.run(
                 candidate,
@@ -224,81 +233,3 @@ class IReSPlatform:
             )
         self.serving.record_external()
         return execution
-
-    def submit(
-        self,
-        key: str,
-        params: dict,
-        policy: UserPolicy,
-        tick: int,
-        cost_model: FittedCostModel | None = None,
-    ) -> SubmissionResult:
-        """The full Figure 1 pipeline for one query submission.
-
-        ``cost_model`` optionally pins the model that costs the QEP space
-        (a session snapshot); the default refits through the serving
-        layer only when the history moved since the last fit.
-        """
-        request = self.receive(key, params, policy)
-        return self.submit_request(key, request, tick, cost_model=cost_model)
-
-    def submit_request(
-        self,
-        key: str,
-        request: QueryRequest,
-        tick: int,
-        *,
-        cost_model: FittedCostModel | None = None,
-        candidates: list[QepCandidate] | None = None,
-        features_matrix=None,
-        execute: bool = True,
-    ) -> SubmissionResult:
-        """Steps 2-5 for an already-validated request.
-
-        The gateway's session layer drives this directly so a parameter
-        batch can reuse one pinned ``cost_model``, one enumerated
-        ``candidates`` space and one precomputed ``features_matrix``;
-        ``execute=False`` stops after Algorithm 2 (plan-only costing).
-        All paths are numerically identical to :meth:`submit`.
-        """
-        template = self.template(key)
-        history = self.history(key)
-        if cost_model is None:
-            if history.size == 0:
-                raise EstimationError(
-                    f"no execution history for {key!r}; run observe() a few times first"
-                )
-            # Through the serving layer: refits only when the history
-            # moved since the last fit (re-planning between executions is
-            # a snapshot hit), under the template's lock.
-            cost_model = self.serving.model(key)
-        if candidates is None:
-            candidates = self.enumerator.enumerate(
-                key, request.plan, self.stats, template.tables
-            )
-        policy = request.policy
-        search = self.optimizer.pareto_search(
-            candidates, cost_model, policy.metrics, features_matrix=features_matrix
-        )
-        pareto = search.pareto_set
-        chosen = self.optimizer.choose(pareto, policy)
-        execution = None
-        if execute:
-            # Under the template's lock: the executor's history append
-            # must exclude concurrent fits of this template (torn-window
-            # guard).
-            with self.serving.template_lock(key):
-                execution = self.executor.run(
-                    chosen.payload, request.plan, self.stats, tick, history
-                )
-            self.serving.record_external()
-        return SubmissionResult(
-            request=request,
-            cost_model=cost_model,
-            candidate_count=search.candidate_count,
-            pareto_set=pareto,
-            chosen=chosen,
-            execution=execution,
-            moqp_algorithm=search.algorithm_used,
-            moqp_exact_fallback=search.exact_fallback,
-        )

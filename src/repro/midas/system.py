@@ -91,11 +91,6 @@ class MidasSystem:
             self.gateway.register_template(template)
         self._rng = RngStream(seed, "midas-params")
 
-    @property
-    def platform(self):
-        """The engine room behind the gateway (white-box introspection)."""
-        return self.gateway.engine
-
     # ------------------------------------------------------------------
 
     def next_tick(self) -> int:

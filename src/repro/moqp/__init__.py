@@ -17,7 +17,6 @@ from repro.moqp.dominance import (
 )
 from repro.moqp.pareto import (
     pareto_front_indices,
-    pareto_front_indices_py,
     pareto_front,
     hypervolume_2d,
     spread_2d,
@@ -38,7 +37,6 @@ __all__ = [
     "pareto_dominance_matrix",
     "dominated_by_any",
     "pareto_front_indices",
-    "pareto_front_indices_py",
     "pareto_front",
     "hypervolume_2d",
     "spread_2d",

@@ -13,9 +13,8 @@ fronts off a dominance-count matrix (one broadcast kernel, no Python
 pair loop) and crowding is one stable argsort per axis.  Both reproduce
 the original scalar implementations *exactly* — including the order in
 which members enter a front and bitwise-identical crowding values — so
-seeded runs are unchanged; the scalar versions are retained as
-:func:`fast_non_dominated_sort_py` / :func:`crowding_distance_py` and
-property-tested against the vectorized ones.  Populations are evaluated
+seeded runs are unchanged; the property suite checks both against the
+scalar originals (``tests/moqp_oracles.py``).  Populations are evaluated
 through :meth:`~repro.moqp.problem.EnumeratedProblem.objectives_matrix`,
 one batched model prediction per generation, and each population's
 (rank, crowding) is computed once and reused by the next tournament and
@@ -33,7 +32,6 @@ from repro.moqp.dominance import (
     DEFAULT_BLOCK_SIZE,
     objective_matrix,
     pareto_dominance_matrix,
-    pareto_dominates,
 )
 from repro.moqp.problem import Candidate, EnumeratedProblem
 
@@ -45,38 +43,6 @@ class Nsga2Config:
     crossover_probability: float = 0.9
     mutation_probability: float = 0.15
     seed: int = 17
-
-
-def fast_non_dominated_sort_py(
-    objectives: list[tuple[float, ...]]
-) -> list[list[int]]:
-    """Deb's sort, scalar reference (the pre-vectorization original)."""
-    count = len(objectives)
-    dominated_by: list[list[int]] = [[] for _ in range(count)]
-    domination_count = [0] * count
-    fronts: list[list[int]] = [[]]
-    for p in range(count):
-        for q in range(count):
-            if p == q:
-                continue
-            if pareto_dominates(objectives[p], objectives[q]):
-                dominated_by[p].append(q)
-            elif pareto_dominates(objectives[q], objectives[p]):
-                domination_count[p] += 1
-        if domination_count[p] == 0:
-            fronts[0].append(p)
-    current = 0
-    while fronts[current]:
-        next_front: list[int] = []
-        for p in fronts[current]:
-            for q in dominated_by[p]:
-                domination_count[q] -= 1
-                if domination_count[q] == 0:
-                    next_front.append(q)
-        current += 1
-        fronts.append(next_front)
-    fronts.pop()  # trailing empty front
-    return fronts
 
 
 def _dominance_matrix(
@@ -131,38 +97,13 @@ def fast_non_dominated_sort(objectives: list[tuple[float, ...]]) -> list[list[in
     return fronts
 
 
-def crowding_distance_py(
-    objectives: list[tuple[float, ...]], front: list[int]
-) -> dict[int, float]:
-    """Crowding distance, scalar reference (the pre-vectorization original)."""
-    distance = {i: 0.0 for i in front}
-    if len(front) <= 2:
-        return {i: float("inf") for i in front}
-    dimension = len(objectives[front[0]])
-    for axis in range(dimension):
-        ordered = sorted(front, key=lambda i: objectives[i][axis])
-        low = objectives[ordered[0]][axis]
-        high = objectives[ordered[-1]][axis]
-        distance[ordered[0]] = float("inf")
-        distance[ordered[-1]] = float("inf")
-        if high == low:
-            continue
-        for position in range(1, len(ordered) - 1):
-            gap = (
-                objectives[ordered[position + 1]][axis]
-                - objectives[ordered[position - 1]][axis]
-            )
-            distance[ordered[position]] += gap / (high - low)
-    return distance
-
-
 def crowding_distance(
     objectives: list[tuple[float, ...]], front: list[int]
 ) -> dict[int, float]:
     """Crowding distance of each member of one front.
 
-    One stable argsort per axis; arithmetic and tie handling match
-    :func:`crowding_distance_py` operation for operation, so the values
+    One stable argsort per axis; arithmetic and tie handling match the
+    scalar original operation for operation, so the values
     (and therefore tournament and truncation outcomes) are bitwise
     identical.
     """

@@ -2,11 +2,10 @@
 
 The front computation is numpy-native: a lexicographic-sort-assisted
 sweep over blockwise dominance broadcasts (see
-:func:`pareto_front_indices`).  The original pure-Python pairwise scan
-is retained as :func:`pareto_front_indices_py` — it is the equivalence
-oracle the property suite checks the vectorized path against, point for
-point, including duplicates, exact per-axis ties, and ``inf``
-objectives.
+:func:`pareto_front_indices`).  The property suite checks it point for
+point — duplicates, exact per-axis ties and ``inf`` objectives included
+— against the original pure-Python pairwise scan, which lives with the
+tests (``tests/moqp_oracles.py``).
 """
 
 from __future__ import annotations
@@ -20,27 +19,7 @@ from repro.moqp.dominance import (
     DEFAULT_BLOCK_SIZE,
     objective_matrix,
     pareto_dominance_matrix,
-    pareto_dominates,
 )
-
-
-def pareto_front_indices_py(points: Sequence[Sequence[float]]) -> list[int]:
-    """Pure-Python O(n²) pairwise scan (the scalar equivalence oracle).
-
-    Kept verbatim from the original implementation: the vectorized
-    :func:`pareto_front_indices` must return exactly this, and the
-    property suite asserts it does.
-    """
-    front: list[int] = []
-    for i, candidate in enumerate(points):
-        dominated = False
-        for j, other in enumerate(points):
-            if i != j and pareto_dominates(other, candidate):
-                dominated = True
-                break
-        if not dominated:
-            front.append(i)
-    return front
 
 
 def pareto_front_indices(
@@ -57,8 +36,8 @@ def pareto_front_indices(
     points (Example 3.1's 18,200 equivalent QEPs) resolve in
     milliseconds where the pairwise scan needs seconds.
 
-    Returns ascending original indices, exactly matching
-    :func:`pareto_front_indices_py`.
+    Returns ascending original indices, exactly matching the scalar
+    pairwise scan.
     """
     matrix = objective_matrix(points)
     count = matrix.shape[0]

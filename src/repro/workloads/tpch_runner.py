@@ -27,8 +27,7 @@ from repro.core.history import ExecutionHistory
 from repro.engines.simulate import MultiEngineSimulator
 from repro.federation import FederationConfig, FederationGateway, ObserveRequest
 from repro.ires.deployment import Deployment
-from repro.ires.enumerator import QepEnumerator
-from repro.ires.executor import Executor
+from repro.ires.enumerator import QepCandidate, QepEnumerator
 from repro.plans.physical import EnginePlacement
 from repro.tpch.dataset import TpchDataset
 from repro.tpch.queries import TPCH_QUERIES
@@ -111,7 +110,6 @@ class TpchFederationWorkload:
         self.simulator = MultiEngineSimulator(
             self.federation, load=load, noise_sigma=cfg.noise_sigma, seed=cfg.seed
         )
-        self.executor = Executor(self.simulator)
         self._param_rng = RngStream(cfg.seed, "workload-params")
         self._choice_rng = RngStream(cfg.seed, "workload-choice")
 
@@ -174,6 +172,8 @@ class TpchFederationWorkload:
     def build_all_histories(self, runs: int) -> dict[str, ExecutionHistory]:
         return {key: self.build_history(key, runs) for key in self.config.queries}
 
-    def platform(self, strategy=None):
-        """The engine room of a fresh gateway (white-box/legacy access)."""
-        return self.gateway(strategy=strategy).engine
+    def candidates(self, query_key: str, params: dict) -> list[QepCandidate]:
+        """The QEP space of one query instance over the full statistics,
+        through a dedicated gateway."""
+        with self.gateway(queries=(query_key,)) as gateway:
+            return gateway.candidates(query_key, params)

@@ -1,9 +1,12 @@
 """Shared fixtures and builders for the test suite.
 
-Two sections:
+Three sections:
 
 * Relational scaffolding — the tiny TPC-H-shaped catalog the planner,
   SQL and MOQP suites share.
+* Engine-room oracle — the Figure 1 pipeline composed straight from the
+  platform's stage functions, with no gateway in between; the gateway's
+  one pipeline is checked against it.
 * Serving scaffolding — the oracle-equivalence machinery the serving,
   sharded-property, front-door and chaos suites share: deterministic
   observation streams, the picklable worker strategy, bitwise model
@@ -107,6 +110,32 @@ def make_part() -> Table:
 
 def tiny_catalog() -> Catalog:
     return Catalog([make_orders(), make_lineitem(), make_part()])
+
+
+# ---------------------------------------------------------------------------
+# Engine-room oracle
+
+
+def engine_candidates(platform, key, params, stats=None):
+    """Steps 1 + 3a: the QEP space of one query instance."""
+    return platform.enumerate(key, platform.receive(key, params), stats=stats)
+
+
+def engine_observe(platform, key, params, candidate, tick, stats=None):
+    """One profiling run: execute ``candidate`` and log it."""
+    request = platform.receive(key, params)
+    return platform.execute(key, candidate, request, tick, stats)
+
+
+def engine_submit(platform, key, params, policy, tick, cost_model=None):
+    """Steps 1-5 for one submission; ``cost_model`` pins the model that
+    costs the QEP space (the default fits through the serving layer)."""
+    request = platform.receive(key, params, policy)
+    if cost_model is None:
+        cost_model = platform.serving.model(key)
+    result = platform.plan(request, platform.enumerate(key, request), cost_model)
+    result.execution = platform.execute(key, result.chosen_candidate, request, tick)
+    return result
 
 
 # ---------------------------------------------------------------------------

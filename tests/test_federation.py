@@ -10,8 +10,9 @@ Four layers of guarantees:
 3. Oracle equivalence (acceptance) — a scripted drift scenario driven
    through ``FederationGateway.submit`` / ``session.submit_many``
    chooses identical DREAM windows and plans (prediction diff < 1e-9)
-   as the same scenario driven through the old ``IReSPlatform.submit``
-   path.
+   as the same scenario composed straight from the engine room's stage
+   functions (the old ``IReSPlatform.submit`` path, now the test-side
+   oracle in ``tests/helpers.py``).
 4. Concurrency stress (``slow`` marker) — a pinned session snapshot
    stays bitwise-stable while concurrent ``observe()``s advance the
    history version; unpinning picks up the newer model.
@@ -46,6 +47,7 @@ from repro.federation import GovernanceConfig, RebalanceConfig
 from repro.ires.modelling import BmlStrategy, DreamStrategy
 from repro.ires.policy import UserPolicy
 from repro.midas import MEDICAL_QUERIES, MidasSystem
+from tests.helpers import engine_candidates, engine_observe, engine_submit
 
 KEY = "medical-demographics"
 
@@ -538,7 +540,8 @@ class TestSessionApi:
 
 class TestOracleEquivalence:
     """Acceptance: the gateway surface adds zero numeric drift over the
-    old ``IReSPlatform.submit`` path on a scripted drift scenario."""
+    stage functions composed directly (the old ``IReSPlatform.submit``
+    path) on a scripted drift scenario."""
 
     SEED = 13
     POLICIES = (
@@ -558,20 +561,20 @@ class TestOracleEquivalence:
 
     def test_scripted_scenario_matches_old_platform_path(self):
         # Two identical worlds (same data, same simulator seed, same rng
-        # scripts); A is driven through the old platform API, B through
-        # the gateway envelopes.
+        # scripts); A is driven through the stage functions directly, B
+        # through the gateway envelopes.
         midas_a = MidasSystem(patient_count=300, seed=self.SEED)
         midas_b = MidasSystem(patient_count=300, seed=self.SEED)
-        platform = midas_a.gateway.engine  # the old surface
+        platform = midas_a.gateway.engine  # the stage functions, directly
         gateway = midas_b.gateway
 
         rng_a = RngStream(99, "oracle")
         rng_b = RngStream(99, "oracle")
         self._profile(
-            lambda params, candidate, tick: platform.observe(
-                KEY, params, candidate, tick
+            lambda params, candidate, tick: engine_observe(
+                platform, KEY, params, candidate, tick
             ),
-            lambda params: platform.candidates_for(KEY, params)[1],
+            lambda params: engine_candidates(platform, KEY, params),
             rng_a, runs=14, tick0=0,
         )
         self._profile(
@@ -586,7 +589,7 @@ class TestOracleEquivalence:
         template = MEDICAL_QUERIES[KEY]
         for i, policy in enumerate(self.POLICIES):
             tick = 100 + 10 * i
-            result = platform.submit(KEY, {"min_age": 25 + i}, policy, tick)
+            result = engine_submit(platform, KEY, {"min_age": 25 + i}, policy, tick)
             report = gateway.submit(
                 SubmitRequest(KEY, {"min_age": 25 + i}, policy, tick=tick)
             )
@@ -601,10 +604,10 @@ class TestOracleEquivalence:
             )
             # More drift between submissions.
             self._profile(
-                lambda params, candidate, t: platform.observe(
-                    KEY, params, candidate, t
+                lambda params, candidate, t: engine_observe(
+                    platform, KEY, params, candidate, t
                 ),
-                lambda params: platform.candidates_for(KEY, params)[1],
+                lambda params: engine_candidates(platform, KEY, params),
                 rng_a, runs=3, tick0=tick + 1,
             )
             self._profile(
@@ -616,15 +619,16 @@ class TestOracleEquivalence:
                 rng_b, runs=3, tick0=tick + 1,
             )
 
-        # Pinned batch: session.submit_many vs the old path with the
-        # platform's own pinned snapshot threaded through submit().
+        # Pinned batch: session.submit_many vs the direct composition
+        # with the platform's own pinned snapshot threaded through.
         pinned = platform.serving.model(KEY)
         batch_requests = [
             SubmitRequest(KEY, {"min_age": 35}, policy, tick=200 + i)
             for i, policy in enumerate(self.POLICIES)
         ] + [SubmitRequest(KEY, {"min_age": 55}, self.POLICIES[0], tick=203)]
         old_results = [
-            platform.submit(
+            engine_submit(
+                platform,
                 request.template,
                 request.params,
                 request.policy,

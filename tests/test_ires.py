@@ -10,6 +10,7 @@ from repro.common.errors import (
     ValidationError,
 )
 from repro.engines.simulate import MultiEngineSimulator
+from repro.federation import SubmitRequest
 from repro.ires import (
     BmlStrategy,
     Deployment,
@@ -31,6 +32,7 @@ from repro.workloads.tpch_runner import (
     TpchFederationConfig,
     TpchFederationWorkload,
 )
+from tests.helpers import engine_candidates, engine_observe, engine_submit
 
 
 @pytest.fixture(scope="module")
@@ -119,8 +121,10 @@ class TestInterface:
 class TestEnumerator:
     def test_candidate_count(self, workload):
         template = TPCH_QUERIES["q12"]
-        request, candidates = workload.platform().candidates_for(
-            "q12", {"shipmode1": "MAIL", "shipmode2": "SHIP", "year": 1994}
+        candidates = engine_candidates(
+            workload.gateway().engine,
+            "q12",
+            {"shipmode1": "MAIL", "shipmode2": "SHIP", "year": 1994},
         )
         # 2 execution engines x 4 node options (cloud-a) x 3 (cloud-b).
         assert len(candidates) == 2 * 4 * 3
@@ -139,8 +143,10 @@ class TestEnumerator:
         assert not any(name.startswith("exec_") for name in names)
 
     def test_candidates_have_all_features(self, workload):
-        _, candidates = workload.platform().candidates_for(
-            "q12", {"shipmode1": "MAIL", "shipmode2": "SHIP", "year": 1994}
+        candidates = engine_candidates(
+            workload.gateway().engine,
+            "q12",
+            {"shipmode1": "MAIL", "shipmode2": "SHIP", "year": 1994},
         )
         names = set(workload.enumerator.feature_names(("orders", "lineitem")))
         for candidate in candidates[:5]:
@@ -210,20 +216,21 @@ class TestPlatformPipeline:
                 fixed_execution=None,
             )
         )
-        platform = wl.platform(DreamStrategy(r2_required=0.8))
+        platform = wl.gateway(strategy=DreamStrategy(r2_required=0.8)).engine
         template = TPCH_QUERIES["q12"]
         from repro.common.rng import RngStream
 
         rng = RngStream(3, "warmup")
         for tick in range(12):
             params = template.sample_params(rng)
-            _, candidates = platform.candidates_for("q12", params)
+            candidates = engine_candidates(platform, "q12", params)
             candidate = candidates[int(rng.integers(0, len(candidates)))]
-            platform.observe("q12", params, candidate, tick)
+            engine_observe(platform, "q12", params, candidate, tick)
         return platform
 
     def test_submit_full_pipeline(self, platform):
-        result = platform.submit(
+        result = engine_submit(
+            platform,
             "q12",
             {"shipmode1": "MAIL", "shipmode2": "SHIP", "year": 1994},
             UserPolicy(weights=(0.5, 0.5)),
@@ -235,19 +242,19 @@ class TestPlatformPipeline:
         assert len(result.predicted) == 2
 
     def test_submit_requires_history(self, workload):
-        platform = workload.platform()
+        gateway = workload.gateway()
         with pytest.raises(EstimationError, match="no execution history"):
-            platform.submit(
-                "q12",
-                {"shipmode1": "MAIL", "shipmode2": "SHIP", "year": 1994},
-                UserPolicy(),
-                tick=0,
+            gateway.submit(
+                SubmitRequest(
+                    "q12", {"shipmode1": "MAIL", "shipmode2": "SHIP", "year": 1994}
+                )
             )
 
     def test_chosen_plan_respects_time_weight(self, platform):
         # With all weight on time, the chosen plan's predicted time must
         # be minimal within the Pareto set.
-        result = platform.submit(
+        result = engine_submit(
+            platform,
             "q12",
             {"shipmode1": "RAIL", "shipmode2": "AIR", "year": 1995},
             UserPolicy(weights=(1.0, 0.0)),
@@ -262,11 +269,12 @@ class TestPlatformPipeline:
 
     def test_unknown_template(self, platform):
         with pytest.raises(ValidationError, match="unknown template"):
-            platform.submit("q99", {}, UserPolicy(), 0)
+            engine_submit(platform, "q99", {}, UserPolicy(), 0)
 
     def test_history_grows_with_submissions(self, platform):
         before = platform.history("q12").size
-        platform.submit(
+        engine_submit(
+            platform,
             "q12",
             {"shipmode1": "MAIL", "shipmode2": "FOB", "year": 1996},
             UserPolicy(),
@@ -275,7 +283,8 @@ class TestPlatformPipeline:
         assert platform.history("q12").size == before + 1
 
     def test_prediction_error_computable(self, platform):
-        result = platform.submit(
+        result = engine_submit(
+            platform,
             "q12",
             {"shipmode1": "MAIL", "shipmode2": "SHIP", "year": 1997},
             UserPolicy(),
@@ -294,8 +303,10 @@ class TestOptimizerConfig:
     def test_exact_fallback_to_nsga(self, workload):
         history = workload.build_history("q12", 30)
         fitted = DreamStrategy().fit(history)
-        _, candidates = workload.platform().candidates_for(
-            "q12", {"shipmode1": "MAIL", "shipmode2": "SHIP", "year": 1994}
+        candidates = engine_candidates(
+            workload.gateway().engine,
+            "q12",
+            {"shipmode1": "MAIL", "shipmode2": "SHIP", "year": 1994},
         )
         optimizer = MultiObjectiveOptimizer(OptimizerConfig(algorithm="exact", exact_limit=4))
         search = optimizer.pareto_search(candidates, fitted, ("time", "money"))
@@ -307,8 +318,10 @@ class TestOptimizerConfig:
     def test_exact_within_limit_records_no_fallback(self, workload):
         history = workload.build_history("q12", 30)
         fitted = DreamStrategy().fit(history)
-        _, candidates = workload.platform().candidates_for(
-            "q12", {"shipmode1": "MAIL", "shipmode2": "SHIP", "year": 1994}
+        candidates = engine_candidates(
+            workload.gateway().engine,
+            "q12",
+            {"shipmode1": "MAIL", "shipmode2": "SHIP", "year": 1994},
         )
         search = MultiObjectiveOptimizer().pareto_search(
             candidates, fitted, ("time", "money")
@@ -325,8 +338,10 @@ class TestOptimizerConfig:
     def test_nsga_g_path(self, workload):
         history = workload.build_history("q12", 30)
         fitted = DreamStrategy().fit(history)
-        _, candidates = workload.platform().candidates_for(
-            "q12", {"shipmode1": "MAIL", "shipmode2": "SHIP", "year": 1994}
+        candidates = engine_candidates(
+            workload.gateway().engine,
+            "q12",
+            {"shipmode1": "MAIL", "shipmode2": "SHIP", "year": 1994},
         )
         optimizer = MultiObjectiveOptimizer(OptimizerConfig(algorithm="nsga-g"))
         front = optimizer.pareto_set(candidates, fitted, ("time", "money"))

@@ -119,9 +119,9 @@ class TestMidasSystem:
         assert cheap.predicted[1] == pytest.approx(min(cheap_money))
 
     def test_history_grows(self, midas):
-        before = midas.platform.history("medical-demographics").size
+        before = midas.gateway.history("medical-demographics").size
         midas.query("medical-demographics")
-        assert midas.platform.history("medical-demographics").size == before + 1
+        assert midas.gateway.history("medical-demographics").size == before + 1
 
     def test_execute_locally_ground_truth(self, midas):
         result = midas.execute_locally("medical-demographics", {"min_age": 0})

@@ -1,8 +1,8 @@
 """Scalar-vs-vectorized equivalence for the numpy-native MOQP engine.
 
 The vectorized kernels (`pareto_front_indices`, `fast_non_dominated_sort`,
-`crowding_distance`, `grid_cells`) must reproduce their retained scalar
-oracles *exactly* — same indices, same front order, bitwise-identical
+`crowding_distance`, `grid_cells`) must reproduce their scalar oracles
+(``tests/moqp_oracles.py``, plus ``grid_cell``) *exactly* — same indices, same front order, bitwise-identical
 crowding — over point clouds with duplicates, exact per-axis ties,
 single-point and all-identical fronts, and ``inf`` objectives (PR 3's
 ``prediction_error`` inf sentinel can reach objective space).  Seeded
@@ -27,17 +27,16 @@ from repro.moqp import (
     dominated_by_any,
     pareto_dominance_matrix,
     pareto_front_indices,
-    pareto_front_indices_py,
 )
 from repro.moqp.dominance import pareto_dominates
-from repro.moqp.nsga2 import (
-    crowding_distance,
-    crowding_distance_py,
-    fast_non_dominated_sort,
-    fast_non_dominated_sort_py,
-)
+from repro.moqp.nsga2 import crowding_distance, fast_non_dominated_sort
 from repro.moqp.nsga_g import grid_cell, grid_cells
 from repro.moqp.pareto import hypervolume_2d, spread_2d
+from tests.moqp_oracles import (
+    crowding_distance_py,
+    fast_non_dominated_sort_py,
+    pareto_front_indices_py,
+)
 
 INF = float("inf")
 
