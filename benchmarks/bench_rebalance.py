@@ -192,9 +192,9 @@ def run_rebalance(quick: bool = False) -> RebalanceReport:
         for burst in range(settle_bursts):
             for key in keys:
                 feed(key, rows_for(key, burst))
-            threaded.refresh(parallel=True)
-            static.refresh(parallel=True)
-            elastic.refresh(parallel=True)
+            threaded.refresh_batch()
+            static.refresh_batch()
+            elastic.refresh_batch()
             elastic.rebalance(policy)
 
         static_seconds = 0.0
@@ -203,14 +203,14 @@ def run_rebalance(quick: bool = False) -> RebalanceReport:
         for burst in range(settle_bursts, total_bursts):
             for key in keys:
                 feed(key, rows_for(key, burst))
-            threaded.refresh(parallel=True)
+            threaded.refresh_batch()
 
             started = time.perf_counter()
-            static.refresh(parallel=True)
+            static.refresh_batch()
             static_seconds += time.perf_counter() - started
 
             started = time.perf_counter()
-            elastic.refresh(parallel=True)
+            elastic.refresh_batch()
             elastic_seconds += time.perf_counter() - started
 
             # The control loop runs after the serving burst, exactly

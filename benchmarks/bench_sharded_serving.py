@@ -1,12 +1,14 @@
-"""Sharded cross-process serving vs the in-process thread-pool service.
+"""Sharded cross-process serving vs the in-process service.
 
 The 16-template drift scenario of ``bench_serving_burst.py``, replayed
 through both serving backends:
 
-* **threaded** — :class:`~repro.serving.EstimationService`: burst
-  refresh on a thread pool, fits GIL-bound in the parent process;
+* **threaded** — :class:`~repro.serving.EstimationService`: each
+  burst's stale templates refitted serially as one group in the parent
+  process;
 * **sharded** — :class:`~repro.serving.ShardedEstimationService`:
-  templates hash-partitioned across worker processes, fits run in the
+  templates hash-partitioned across worker processes, each burst's
+  group shipped as one ``fit_many`` RPC per busy shard, fits run in the
   workers (no GIL crosstalk), history rows streamed lazily over the
   pipe RPC, predictions served from parent-side snapshots.
 
@@ -131,7 +133,7 @@ def run_sharded_serving(quick: bool = False) -> ShardedReport:
 
             started = time.perf_counter()
             for _ in range(CALLS_PER_BURST):
-                threaded_models = threaded.refresh(parallel=True)
+                threaded_models = threaded.refresh_batch().models
                 threaded_columns = {
                     key: threaded.estimate_batch(key, matrices[key]) for key in keys
                 }
@@ -139,7 +141,7 @@ def run_sharded_serving(quick: bool = False) -> ShardedReport:
 
             started = time.perf_counter()
             for _ in range(CALLS_PER_BURST):
-                sharded_models = sharded.refresh(parallel=True)
+                sharded_models = sharded.refresh_batch().models
                 sharded_columns = {
                     key: sharded.estimate_batch(key, matrices[key]) for key in keys
                 }
@@ -182,12 +184,12 @@ def run_sharded_serving(quick: bool = False) -> ShardedReport:
 
 def format_report(report: ShardedReport) -> str:
     lines = [
-        "Sharded cross-process serving vs in-process thread-pool service",
-        "---------------------------------------------------------------",
+        "Sharded cross-process serving vs in-process service",
+        "---------------------------------------------------",
         f"templates x bursts x calls    : {report.templates} x {report.bursts} x {CALLS_PER_BURST}",
         f"candidates per template       : {report.candidates_per_template}",
         f"shard worker processes        : {report.shard_workers}",
-        f"threaded (in-process pool)    : {report.threaded_seconds * 1e3:8.1f} ms",
+        f"threaded (in-process, serial) : {report.threaded_seconds * 1e3:8.1f} ms",
         f"sharded (worker processes)    : {report.sharded_seconds * 1e3:8.1f} ms",
         f"sharded vs threaded           : {report.throughput_ratio:8.2f}x",
         f"forced crashes -> respawns    : 1 -> {report.respawns}",

@@ -339,7 +339,7 @@ class OnlineDreamEstimator(DreamEstimator):
     def _fold_new(self, history: ExecutionHistory) -> None:
         """Append only the observations newer than the last fold."""
         total = history.size
-        fresh = history.observations[self._seen : total]
+        fresh = history.rows_since(self._seen)
         if not fresh:
             return
         names = history.feature_names

@@ -90,6 +90,12 @@ class ExecutionHistory:
             self._observations_view = tuple(self._observations)
         return self._observations_view
 
+    def rows_since(self, start: int) -> list[Observation]:
+        """The observations appended at or after index ``start``: an
+        O(k) slice, where :attr:`observations` rebuilds its O(size)
+        view after every append."""
+        return self._observations[start:]
+
     def last_tick(self) -> int:
         if not self._observations:
             raise EstimationError("history is empty")

@@ -3,10 +3,12 @@
 :class:`FederationConfig` replaces the ad-hoc keyword threading the old
 entry surfaces required (``IReSPlatform(...)`` positional wiring,
 ``DreamStrategy(r2_required=..., max_window=..., engine_cache=...)``,
-``ModelCache(capacity=..., ttl_seconds=...)``,
-``EstimationService(max_workers=...)``) with one frozen value object:
-strategy selection by registry name, estimation thresholds, engine-cache
-budget, optimizer algorithm and refresh-pool width.  Every field is
+``ModelCache(capacity=..., ttl_seconds=...)``) with one frozen value
+object: strategy selection by registry name, estimation thresholds,
+engine-cache budget, optimizer algorithm and serving backend.  There is
+no refresh-pool width: the in-process backend refits serially (a thread
+pool measured slower) and the sharded backend runs one parent thread
+per busy shard.  Every field is
 validated eagerly in ``__post_init__`` — a bad capacity or TTL fails at
 construction with a :class:`~repro.federation.errors.GatewayConfigError`
 instead of deep inside the first fit.
@@ -83,10 +85,6 @@ class FederationConfig:
         hung-worker guard: a worker that takes longer than this to
         answer one fit RPC is terminated and respawned (``None`` = wait
         forever).
-    max_fit_workers:
-        Thread-pool width for burst refreshes (``None`` = service
-        default).  For the sharded backend this caps the parent-side
-        fan-out threads, one per busy shard.
     ingest_queue_depth / ingest_batch_max / ingest_flush_ms /
     ingest_overflow:
         The gateway's batched front door (``gateway.ingest()`` /
@@ -160,7 +158,6 @@ class FederationConfig:
     serving_backend: str = "threaded"
     shard_workers: int | None = None
     shard_rpc_timeout: float | None = None
-    max_fit_workers: int | None = None
     ingest_queue_depth: int = DEFAULT_INGEST_QUEUE_DEPTH
     ingest_batch_max: int = DEFAULT_INGEST_BATCH_MAX
     ingest_flush_ms: float | None = None
@@ -227,10 +224,6 @@ class FederationConfig:
         if self.shard_rpc_timeout is not None and not self.shard_rpc_timeout > 0:
             raise GatewayConfigError(
                 f"shard_rpc_timeout must be > 0 (or None), got {self.shard_rpc_timeout}"
-            )
-        if self.max_fit_workers is not None and self.max_fit_workers < 1:
-            raise GatewayConfigError(
-                f"max_fit_workers must be >= 1 (or None), got {self.max_fit_workers}"
             )
         if self.ingest_queue_depth < 1:
             raise GatewayConfigError(

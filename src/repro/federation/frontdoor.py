@@ -3,7 +3,7 @@
 The gateway's single-call surface (:meth:`FederationGateway.submit` /
 ``observe``) pays one fit RPC per stale template and one envelope per
 execution row — exactly the regime where the sharded backend trails the
-thread pool.  :class:`FrontDoor` is the batch-first alternative:
+in-process service.  :class:`FrontDoor` is the batch-first alternative:
 requests are *admitted* into a bounded queue (``gateway.ingest()``) and
 *executed* later in one coalesced flush (``gateway.drain()``, or
 automatically at the size/staleness watermarks), where every stale

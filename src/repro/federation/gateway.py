@@ -92,7 +92,7 @@ class FederationGateway:
         The physical environment (what exists and where it runs).
     config:
         Declarative behaviour: estimation backend, thresholds, cache
-        budget, optimizer algorithm, refresh-pool width.
+        budget, optimizer algorithm, serving backend.
     strategy:
         Escape hatch for a pre-built
         :class:`~repro.ires.modelling.EstimationStrategy` instance
@@ -304,7 +304,7 @@ class FederationGateway:
         resumes the same noise sequence)."""
         if self._durability is None:
             return
-        row = history.observations[-1]
+        (row,) = history.rows_since(history.size - 1)
         simulator = getattr(self.engine.executor, "simulator", None)
         self._durability.note_row(
             key,
@@ -924,14 +924,14 @@ class FederationGateway:
 
     # Models ---------------------------------------------------------------
 
-    def refresh(
-        self, keys: list[str] | None = None, parallel: bool = True
-    ) -> dict[str, FittedCostModel]:
-        """Prefit stale templates for a burst (serving-layer refresh)."""
+    def refresh(self, keys: list[str] | None = None) -> dict[str, FittedCostModel]:
+        """Prefit stale templates for a burst: the current model of every
+        requested template (default: all) that can be fitted; templates
+        that cannot be fitted yet are omitted."""
         if keys is not None:
             for key in keys:
                 self._require_template(key)
-        return self.engine.serving.refresh(keys, parallel=parallel)
+        return self.engine.serving.refresh_batch(keys).models
 
     def model(self, key: str) -> FittedCostModel:
         """The template's current fitted model (refit only when stale)."""
@@ -945,7 +945,7 @@ class FederationGateway:
 
     @property
     def serving_stats(self) -> ServiceStats:
-        """Serving-layer counters (fits, snapshot hits, bursts, ...)."""
+        """Serving-layer counters (fits, snapshot hits, batch refreshes, ...)."""
         return self.engine.serving.stats
 
     def serving_report(self) -> ServingReport:

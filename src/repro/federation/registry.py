@@ -32,8 +32,8 @@ service``; built-ins:
 
 ``threaded``
     The in-process multi-tenant
-    :class:`~repro.serving.service.EstimationService` (thread-pool
-    burst refresh, GIL-bound fits).
+    :class:`~repro.serving.service.EstimationService` (serial group
+    refits, GIL-bound).
 ``sharded``
     The shared-nothing
     :class:`~repro.serving.sharded.ShardedEstimationService`: templates
@@ -209,9 +209,7 @@ register_strategy("bml", _bml)
 def _threaded_serving(config: "FederationConfig", modelling: Modelling):
     from repro.serving.service import EstimationService
 
-    return EstimationService(
-        modelling=modelling, max_workers=config.max_fit_workers
-    )
+    return EstimationService(modelling=modelling)
 
 
 def _sharded_serving(config: "FederationConfig", modelling: Modelling):
@@ -224,7 +222,6 @@ def _sharded_serving(config: "FederationConfig", modelling: Modelling):
         strategy_factory=partial(strategy_from_config, config),
         workers=config.shard_workers,
         modelling=modelling,
-        max_workers=config.max_fit_workers,
         rpc_timeout=config.shard_rpc_timeout,
     )
 

@@ -192,6 +192,12 @@ class Modelling:
         replica elsewhere; unknown keys are a no-op by design)."""
         self._histories.pop(query_key, None)
 
+    def __contains__(self, query_key: str) -> bool:
+        return query_key in self._histories
+
+    def __len__(self) -> int:
+        return len(self._histories)
+
     def history(self, query_key: str) -> ExecutionHistory:
         try:
             return self._histories[query_key]

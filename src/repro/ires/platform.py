@@ -114,7 +114,7 @@ class IReSPlatform:
         self.interface = Interface(catalog, deployment)
         self.modelling = Modelling(strategy)
         #: Multi-tenant front over the same Modelling registry: version-
-        #: cached model snapshots, per-template locks, burst refresh.
+        #: cached model snapshots, per-template locks, group refresh.
         #: ``serving_factory(modelling)`` builds the config-selected
         #: backend (in-process ``"threaded"`` or cross-process
         #: ``"sharded"``).

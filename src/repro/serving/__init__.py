@@ -26,11 +26,14 @@ for the hot ones.  Eviction is safe — an engine is derived state and
 refits from its history to the identical window and predictions.
 
 **Bursts.**  A submission burst touches many templates at once;
-:meth:`~repro.serving.service.EstimationService.refresh` fits all stale
-templates concurrently on a thread pool (per-template histories are
-independent, and NumPy releases the GIL inside the matmul-heavy
-RLS/PRESS path), then serves every estimate from the refreshed
-snapshots.  ``benchmarks/bench_serving_burst.py`` measures the burst
+:meth:`~repro.serving.service.BaseEstimationService.refresh_batch`
+refits the stale ones as one group, then every estimate is served from
+the refreshed snapshots.  :meth:`~repro.serving.service.BaseEstimationService.model`
+is the same group fit with one template, so there is one refit path.
+The in-process service fits a group serially: a thread pool measured
+0.56-0.75x the serial loop's speed on a 2-core host (each fit is a few
+small NumPy solves, too short to amortise thread hand-offs), so it was
+removed.  ``benchmarks/bench_serving_burst.py`` measures the burst
 latency against sequential seed-path fitting.
 
 **Cross-process sharding.**  Past the GIL, the
@@ -39,13 +42,14 @@ serving contract but hash-partitions templates across a shared-nothing
 pool of worker *processes* (one private strategy + engine cache each),
 streaming history rows over a pickle-safe pipe RPC
 (:mod:`repro.serving.worker`) with crash detection and deterministic
-replay-on-respawn.  ``benchmarks/bench_sharded_serving.py`` measures
-burst throughput against the thread-pool service.
+replay-on-respawn.  A group refit sends one ``fit_many`` RPC per busy
+shard, one parent thread per busy shard.
+``benchmarks/bench_sharded_serving.py`` measures burst throughput
+against the in-process service.
 """
 
 from repro.core.cache import CacheStats, ModelCache
 from repro.serving.service import (
-    DEFAULT_MAX_WORKERS,
     BaseEstimationService,
     BatchRefreshResult,
     EstimationService,
@@ -74,7 +78,6 @@ __all__ = [
     "BatchRefreshResult",
     "CacheStats",
     "ModelCache",
-    "DEFAULT_MAX_WORKERS",
     "DEFAULT_SHARD_WORKERS",
     "EstimationService",
     "Migration",

@@ -6,8 +6,9 @@ Lock discipline, from coarse to fine:
   lookup).  Never held while fitting.
 * per-template ``lock`` — serialises *that* template's mutations: a
   history append (:meth:`BaseEstimationService.record`) and a model
-  refit (:meth:`BaseEstimationService.model`) on the same template
-  exclude each other, so a fit can never observe a torn window.
+  refit on the same template exclude each other, so a fit can never
+  observe a torn window.  A group refit takes its templates' locks in
+  sorted key order, so two concurrent groups never deadlock.
   Different templates have different locks and never block each other.
 * ``_stats_lock`` — a leaf lock around the service counters.
 
@@ -18,13 +19,16 @@ started, which is exactly the "estimates are as-of the latest fit"
 semantics a serving layer wants.
 
 :class:`BaseEstimationService` carries this whole contract —
-registration, ingest, snapshot bookkeeping, burst refresh, counters —
-and leaves only the *fit transport* to subclasses:
-:class:`EstimationService` fits in-process through a shared
-:class:`~repro.ires.modelling.Modelling`, the cross-process
-:class:`~repro.serving.sharded.ShardedEstimationService` ships the fit
-to a shard worker.  Sharing the skeleton is what keeps the two
-backends oracle-equivalent by construction.
+registration, ingest, snapshot bookkeeping, group refresh, counters —
+and leaves only the *fit transport* to subclasses (one hook,
+:meth:`BaseEstimationService._fit_states`):
+:class:`EstimationService` fits in-process, serially, through a shared
+:class:`~repro.ires.modelling.Modelling`; the cross-process
+:class:`~repro.serving.sharded.ShardedEstimationService` ships each
+group to its shard workers as one ``fit_many`` RPC per busy shard.
+:meth:`~BaseEstimationService.model` is a one-template group, so every
+fit on either backend goes through the same bookkeeping — which is
+what keeps the two backends oracle-equivalent by construction.
 """
 
 from __future__ import annotations
@@ -32,9 +36,8 @@ from __future__ import annotations
 import threading
 import time
 from abc import ABC, abstractmethod
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -48,12 +51,6 @@ from repro.ires.modelling import (
     FittedCostModel,
     Modelling,
 )
-
-#: Upper bound on burst-refresh worker threads.  The RLS/PRESS path is
-#: NumPy-matmul heavy (the GIL is released inside the C kernels), but
-#: far past the core count the threads only add contention.
-DEFAULT_MAX_WORKERS = 8
-
 
 @dataclass(frozen=True)
 class ServiceStats:
@@ -69,14 +66,11 @@ class ServiceStats:
     #: platform executor's history appends); raw appends on a bare
     #: history object outside both paths still bypass this counter.
     observations: int
-    #: ``refresh`` calls, and how many stale fits they attempted.
-    bursts: int
-    burst_fits: int
     #: Engine-cache counters when the strategy exposes a ModelCache.
     engine_cache: CacheStats | None = None
     #: ``refresh_batch`` calls, and how many stale fits they grouped
     #: (the sharded backend ships each group as one ``fit_many`` RPC
-    #: per shard instead of one ``fit`` RPC per template).
+    #: per busy shard).
     batch_refreshes: int = 0
     batch_fits: int = 0
 
@@ -86,7 +80,7 @@ class BatchRefreshResult:
     """Outcome of one :meth:`BaseEstimationService.refresh_batch`.
 
     Per-template error isolation: a tenant whose history is still too
-    short (or whose fit failed for any non-infrastructure reason) lands
+    short (a plain :class:`~repro.common.errors.EstimationError`) lands
     in :attr:`errors` instead of poisoning the batch — every other
     requested template still gets its model.  Backend-infrastructure
     failures (a broken shard) are raised, never recorded.
@@ -133,27 +127,27 @@ class _Template:
         self.fit_seconds_ewma: float | None = None
 
 
+#: What a backend's fit transport yields per template: the template,
+#: its fitted model or isolated "cannot fit yet" error, and the fit's
+#: wall time in seconds.
+FitOutcome = tuple[_Template, "FittedCostModel | EstimationError", float]
+
+
 class BaseEstimationService(ABC):
     """The serving contract, minus the fit transport.
 
-    Subclasses implement :meth:`_fit_state` (produce a fitted model for
-    one template, template lock held) and :meth:`_fit_stale` (fan a
-    burst of stale fits out), plus the :meth:`_on_register` /
+    Subclasses implement :meth:`_fit_states` (fit a group of locked,
+    stale templates), plus the :meth:`_on_register` /
     :meth:`_engine_cache_stats` / :meth:`close` hooks.
     """
 
-    def __init__(self, max_workers: int | None = None):
-        if max_workers is not None and max_workers < 1:
-            raise ValidationError(f"max_workers must be >= 1, got {max_workers}")
-        self.max_workers = max_workers or DEFAULT_MAX_WORKERS
+    def __init__(self):
         self._templates: dict[str, _Template] = {}
         self._registry_lock = threading.Lock()
         self._stats_lock = threading.Lock()
         self._fits = 0
         self._snapshot_hits = 0
         self._observations = 0
-        self._bursts = 0
-        self._burst_fits = 0
         self._batch_refreshes = 0
         self._batch_fits = 0
         #: Optional observer ``(key, history_version)`` invoked after
@@ -165,31 +159,17 @@ class BaseEstimationService(ABC):
     # Subclass hooks -------------------------------------------------------
 
     @abstractmethod
-    def _fit_state(self, state: _Template) -> FittedCostModel:
-        """Fit one template's current history (template lock held)."""
+    def _fit_states(self, states: list[_Template]) -> Iterator[FitOutcome]:
+        """Fit a group of stale templates (the caller holds every one of
+        their locks).
 
-    @abstractmethod
-    def _fit_stale(
-        self, stale: list[str], parallel: bool
-    ) -> dict[str, FittedCostModel | None]:
-        """Fit a burst of stale templates, possibly concurrently."""
-
-    def _note_template_fit(self, state: _Template, seconds: float) -> None:
-        """Fold one successful fit's wall time into the template's load
-        accounting (any thread; takes the stats lock)."""
-        with self._stats_lock:
-            state.fits += 1
-            if state.fit_seconds_ewma is None:
-                state.fit_seconds_ewma = seconds
-            else:
-                state.fit_seconds_ewma = (
-                    LOAD_EWMA_ALPHA * seconds
-                    + (1.0 - LOAD_EWMA_ALPHA) * state.fit_seconds_ewma
-                )
-        # Observer fires outside the stats lock (it may take the
-        # durability manager's lock; keep the leaf lock a leaf).
-        if self.on_fit is not None:
-            self.on_fit(state.key, state.history.version)
+        Yields one :data:`FitOutcome` per template that was fitted or
+        failed in isolation ("cannot fit yet", an
+        :class:`~repro.common.errors.EstimationError`).  Any other
+        failure (a broken shard, a validation error) is raised only
+        after every outcome that did land has been yielded, so the
+        caller's bookkeeping is complete when it surfaces.
+        """
 
     def _on_register(self, state: _Template) -> None:
         """Wire a freshly registered template into the backend."""
@@ -291,23 +271,67 @@ class BaseEstimationService(ABC):
 
     # Fitting --------------------------------------------------------------
 
+    def _refit(self, keys: list[str]) -> dict[str, FittedCostModel | EstimationError]:
+        """The one fit path: bring ``keys`` up to date, return per key its
+        current model or its isolated "cannot fit yet" error.
+
+        Takes the template locks in sorted key order, re-checks each
+        snapshot under its lock (a template another thread refitted in
+        the meantime is a snapshot hit), hands the stale rest to the
+        backend's :meth:`_fit_states`, and installs what comes back:
+        snapshot, fit counters, load accounting and the ``on_fit``
+        observer.  Holding the locks across the fit keeps the captured
+        history versions authoritative — an append blocks until the
+        group's snapshots are installed.
+        """
+        states = [self._state(key) for key in sorted(set(keys))]
+        outcomes: dict[str, FittedCostModel | EstimationError] = {}
+        stale: list[_Template] = []
+        locked: list[_Template] = []
+        try:
+            for state in states:
+                state.lock.acquire()
+                locked.append(state)
+                if state.snapshot is not None and (
+                    state.snapshot_version == state.history.version
+                ):
+                    outcomes[state.key] = state.snapshot
+                    with self._stats_lock:
+                        self._snapshot_hits += 1
+                else:
+                    stale.append(state)
+            for state, outcome, seconds in self._fit_states(stale) if stale else ():
+                outcomes[state.key] = outcome
+                if isinstance(outcome, EstimationError):
+                    continue
+                version = state.history.version
+                state.snapshot = outcome
+                state.snapshot_version = version
+                with self._stats_lock:
+                    self._fits += 1
+                    state.fits += 1
+                    if state.fit_seconds_ewma is None:
+                        state.fit_seconds_ewma = seconds
+                    else:
+                        state.fit_seconds_ewma = (
+                            LOAD_EWMA_ALPHA * seconds
+                            + (1.0 - LOAD_EWMA_ALPHA) * state.fit_seconds_ewma
+                        )
+                # Observer fires outside the stats lock (it may take the
+                # durability manager's lock; keep the leaf lock a leaf).
+                if self.on_fit is not None:
+                    self.on_fit(state.key, version)
+        finally:
+            for state in locked:
+                state.lock.release()
+        return outcomes
+
     def model(self, key: str) -> FittedCostModel:
         """The template's fitted cost model, refit only when stale."""
-        state = self._state(key)
-        with state.lock:
-            version = state.history.version
-            if state.snapshot is not None and state.snapshot_version == version:
-                with self._stats_lock:
-                    self._snapshot_hits += 1
-                return state.snapshot
-            started = time.perf_counter()
-            fitted = self._fit_state(state)
-            self._note_template_fit(state, time.perf_counter() - started)
-            state.snapshot = fitted
-            state.snapshot_version = version
-            with self._stats_lock:
-                self._fits += 1
-            return fitted
+        outcome = self._refit([key])[key]
+        if isinstance(outcome, EstimationError):
+            raise outcome
+        return outcome
 
     def is_stale(self, key: str) -> bool:
         state = self._state(key)
@@ -320,93 +344,23 @@ class BaseEstimationService(ABC):
     def stale_keys(self) -> list[str]:
         return [key for key in self.keys() if self.is_stale(key)]
 
-    def _try_model(self, key: str) -> FittedCostModel | None:
-        """``model()``, or None when the template cannot be fitted yet
-        (e.g. its history is still shorter than the minimum window).
-        Backend-infrastructure failures are never swallowed here."""
-        try:
-            return self.model(key)
-        except EstimationError as error:
-            if self._is_infrastructure_error(error):
-                raise
-            return None
-
-    @staticmethod
-    def _is_infrastructure_error(error: EstimationError) -> bool:
-        """Distinguish "cannot fit yet" (omit from a burst) from "the
-        backend itself broke" (must surface).  The in-process service
-        has no infrastructure to break."""
-        return False
-
-    def refresh(
-        self, keys: list[str] | None = None, parallel: bool = True
-    ) -> dict[str, FittedCostModel]:
-        """Fit every stale template (a submission burst), concurrently.
-
-        Per-template histories are independent, so stale fits fan out
-        through the backend's :meth:`_fit_stale`.  Returns the current
-        model for every requested key that has one; tenants that cannot
-        be fitted yet (too little history) are omitted rather than
-        poisoning the burst for the healthy tenants.
-        """
-        requested = self.keys() if keys is None else list(keys)
-        stale = [key for key in requested if self.is_stale(key)]
-        results = self._fit_stale(stale, parallel)
-        for key in requested:
-            if key not in results:
-                results[key] = self._try_model(key)
-        with self._stats_lock:
-            self._bursts += 1
-            self._burst_fits += len(stale)
-        return {key: model for key, model in results.items() if model is not None}
-
-    def _fit_batch(
-        self, stale: list[str]
-    ) -> dict[str, FittedCostModel | EstimationError]:
-        """Fit a coalesced group of stale templates in one backend call.
-
-        The base implementation fits sequentially through :meth:`model`
-        (the in-process service has no round-trip to amortise); the
-        sharded backend overrides this with one ``fit_many`` RPC per
-        shard.  Per-template failures are *returned*, not raised —
-        infrastructure failures are re-raised, never recorded.
-        """
-        outcomes: dict[str, FittedCostModel | EstimationError] = {}
-        for key in stale:
-            try:
-                outcomes[key] = self.model(key)
-            except EstimationError as error:
-                if self._is_infrastructure_error(error):
-                    raise
-                outcomes[key] = error
-        return outcomes
-
     def refresh_batch(self, keys: list[str] | None = None) -> BatchRefreshResult:
-        """Bring a group of templates up to date in one coalesced call.
+        """Bring a group of templates (default: all) up to date in one
+        coalesced call.
 
-        The batch-first sibling of :meth:`refresh`: instead of N
-        independent stale fits it hands the whole stale subset to the
-        backend's :meth:`_fit_batch` (one grouped transport call where
-        the backend has one), and instead of silently omitting tenants
-        that cannot be fitted it returns their typed errors alongside
-        the healthy models.  Fresh templates resolve through
-        :meth:`model` and count as snapshot hits, exactly as the
-        single-call path would.
+        The stale subset goes to the backend as one group (one
+        ``fit_many`` RPC per busy shard on the sharded backend).
+        Tenants that cannot be fitted yet come back as typed errors
+        alongside the healthy models; fresh templates count as snapshot
+        hits, exactly as :meth:`model` would.
         """
         requested = self.keys() if keys is None else list(keys)
         stale = [key for key in requested if self.is_stale(key)]
-        outcomes = self._fit_batch(stale)
+        outcomes = self._refit(requested)
         models: dict[str, FittedCostModel] = {}
         errors: dict[str, EstimationError] = {}
         for key in requested:
-            outcome = outcomes.get(key)
-            if outcome is None:
-                try:
-                    outcome = self.model(key)
-                except EstimationError as error:
-                    if self._is_infrastructure_error(error):
-                        raise
-                    outcome = error
+            outcome = outcomes[key]
             if isinstance(outcome, EstimationError):
                 errors[key] = outcome
             else:
@@ -440,8 +394,6 @@ class BaseEstimationService(ABC):
                 fits=self._fits,
                 snapshot_hits=self._snapshot_hits,
                 observations=self._observations,
-                bursts=self._bursts,
-                burst_fits=self._burst_fits,
                 engine_cache=engine_cache,
                 batch_refreshes=self._batch_refreshes,
                 batch_fits=self._batch_fits,
@@ -461,17 +413,14 @@ class EstimationService(BaseEstimationService):
     modelling:
         An existing Modelling registry to front (the IReS platform hands
         its own in, so platform and service see the same histories).
-    max_workers:
-        Thread-pool width for :meth:`refresh` bursts.
     """
 
     def __init__(
         self,
         strategy: EstimationStrategy | None = None,
         modelling: Modelling | None = None,
-        max_workers: int | None = None,
     ):
-        super().__init__(max_workers=max_workers)
+        super().__init__()
         if modelling is not None:
             self._modelling = modelling
         else:
@@ -485,22 +434,17 @@ class EstimationService(BaseEstimationService):
         # Registers in Modelling too: platform and service share state.
         self._modelling.register(state.key, state.history)
 
-    def _fit_state(self, state: _Template) -> FittedCostModel:
-        return self._modelling.fit(state.key)
-
-    def _fit_stale(
-        self, stale: list[str], parallel: bool
-    ) -> dict[str, FittedCostModel | None]:
-        """NumPy releases the GIL inside the matmul-heavy RLS path, so
-        bursts overlap on a thread pool on multicore hosts."""
-        if parallel and len(stale) > 1:
-            width = min(self.max_workers, len(stale))
-            with ThreadPoolExecutor(
-                max_workers=width, thread_name_prefix="estimation-burst"
-            ) as pool:
-                futures = {key: pool.submit(self._try_model, key) for key in stale}
-                return {key: future.result() for key, future in futures.items()}
-        return {key: self._try_model(key) for key in stale}
+    def _fit_states(self, states: list[_Template]) -> Iterator[FitOutcome]:
+        """Serially, in request order.  A thread pool measured slower
+        than this loop (0.56-0.75x on a 2-core host): each fit is a few
+        small NumPy solves, too short to amortise thread hand-offs."""
+        for state in states:
+            started = time.perf_counter()
+            try:
+                fitted = self._modelling.fit(state.key)
+            except EstimationError as error:
+                fitted = error
+            yield state, fitted, time.perf_counter() - started
 
     def _engine_cache_stats(self) -> CacheStats | None:
         engine_cache = getattr(self.strategy, "engine_cache", None)
@@ -510,5 +454,6 @@ class EstimationService(BaseEstimationService):
         s = self.stats
         return (
             f"EstimationService(templates={s.templates}, fits={s.fits}, "
-            f"snapshot_hits={s.snapshot_hits}, bursts={s.bursts})"
+            f"snapshot_hits={s.snapshot_hits}, "
+            f"batch_refreshes={s.batch_refreshes})"
         )

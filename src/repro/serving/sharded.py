@@ -4,10 +4,12 @@
 but its fits contend for one GIL and its engines live in one process.
 :class:`ShardedEstimationService` keeps the exact same serving contract
 — it *is* a :class:`~repro.serving.service.BaseEstimationService`, so
-registration, per-template locks, version-keyed snapshots, burst
+registration, per-template locks, version-keyed snapshots, group
 refresh and :class:`~repro.serving.service.ServiceStats` are literally
 the shared skeleton — while moving every fit into a pool of shard
-worker processes:
+worker processes.  Its one transport hook ships each group refit as
+one ``fit_many`` RPC per busy shard (a single stale :meth:`model` is a
+one-item ``fit_many``), one parent thread per busy shard:
 
 * **Routed partitioning.**  Template keys are *placed* by an explicit
   routing table; a fresh registration seeds its route from a stable
@@ -39,10 +41,11 @@ worker processes:
   mid-run crash).  Worker-*infrastructure* failures (a double crash, a
   replica desync, a hung RPC) surface as
   :class:`ShardedServingError` and are never silently swallowed by a
-  burst, unlike a plain "history still too short" skip.
+  group refresh, unlike a plain "history still too short" skip.
 * **Load accounting + rebalancing.**  Each shard tracks a fit
   wall-time EWMA, an RPC queue depth (threads waiting on the shard
-  lock) and its pending-row backlog; :meth:`shard_loads` /
+  lock) and its pending-row backlog; each template's heat comes from
+  its own worker-measured fit seconds; :meth:`shard_loads` /
   :meth:`template_loads` publish the snapshots a
   :class:`~repro.serving.topology.RebalancePolicy` turns into
   hottest-template-to-coldest-shard moves, applied through
@@ -69,14 +72,13 @@ import os
 import threading
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack, contextmanager
-from typing import Callable
+from contextlib import contextmanager
+from typing import Callable, Iterator
 
 from repro.common.errors import EstimationError, ValidationError
 from repro.core.cache import CacheStats
-from repro.ires.modelling import EstimationStrategy, FittedCostModel, Modelling
-from repro.serving.service import BaseEstimationService, _Template
+from repro.ires.modelling import EstimationStrategy, Modelling
+from repro.serving.service import BaseEstimationService, FitOutcome, _Template
 from repro.serving.topology import (
     LOAD_EWMA_ALPHA,
     RebalanceOutcome,
@@ -94,7 +96,7 @@ DEFAULT_SHARD_WORKERS = max(2, min(8, os.cpu_count() or 2))
 class ShardedServingError(EstimationError):
     """A shard worker failed in a way that is not a plain estimation or
     validation error (protocol desync, repeated crash, hung RPC, use
-    after close).  Never swallowed by burst refreshes."""
+    after close).  Never swallowed by group refreshes."""
 
 
 class WorkerCrashError(ShardedServingError):
@@ -160,10 +162,6 @@ class ShardedEstimationService(BaseEstimationService):
         Optional parent-side registry to mirror registrations into, so
         an :class:`~repro.ires.platform.IReSPlatform` sharing it sees
         the same histories.  The parent never fits through it.
-    max_workers:
-        Width of the :meth:`refresh` fan-out thread pool (capped at the
-        shard count; threads beyond one per shard cannot help because a
-        shard answers one RPC at a time).
     rpc_timeout:
         Seconds to wait for a single worker reply before declaring the
         worker hung, terminating it, and respawning (``None`` = wait
@@ -176,11 +174,10 @@ class ShardedEstimationService(BaseEstimationService):
         strategy_factory: Callable[[], EstimationStrategy],
         workers: int | None = None,
         modelling: Modelling | None = None,
-        max_workers: int | None = None,
         rpc_timeout: float | None = None,
         mp_context: str | None = None,
     ):
-        super().__init__(max_workers=max_workers)
+        super().__init__()
         if workers is not None and workers < 1:
             raise ValidationError(f"workers must be >= 1, got {workers}")
         if rpc_timeout is not None and not rpc_timeout > 0:
@@ -383,11 +380,10 @@ class ShardedEstimationService(BaseEstimationService):
                     f"shard {shard.index} worker hung past "
                     f"rpc_timeout={self.rpc_timeout}s on {message['op']!r}"
                 )
-        if message["op"] in ("fit", "fit_many"):
+        if message["op"] == "fit_many":
             # Per-template fit cost EWMA, parent-observed (RPC included):
             # the wall-time half of the shard's load accounting.
-            span = len(message.get("items", ())) or 1
-            sample = (time.perf_counter() - started) / span
+            sample = (time.perf_counter() - started) / len(message["items"])
             with self._stats_lock:
                 if shard.fit_ewma is None:
                     shard.fit_ewma = sample
@@ -398,24 +394,27 @@ class ShardedEstimationService(BaseEstimationService):
                     )
         if reply["ok"]:
             return reply["value"]
+        raise self._reply_error(shard, reply)
+
+    @staticmethod
+    def _reply_error(shard: _Shard, reply: dict) -> Exception:
+        """The parent-side exception for a failed reply (a whole RPC's
+        or one ``fit_many`` item's): the one place the worker's error
+        kinds map back onto the exception taxonomy."""
         kind, text = reply["kind"], reply["error"]
         if kind == "validation":
-            error = ValidationError(text)
-        elif kind == "estimation":
-            error = EstimationError(text)
-        elif kind == "stale_route":
-            error = StaleRouteError(f"shard {shard.index}: {text}")
-        else:
-            error = ShardedServingError(f"shard {shard.index}: {text}")
-        error.worker_reply = reply  # op-specific extras (e.g. "appended")
-        raise error
+            return ValidationError(text)
+        if kind == "estimation":
+            return EstimationError(text)
+        if kind == "stale_route":
+            return StaleRouteError(f"shard {shard.index}: {text}")
+        return ShardedServingError(f"shard {shard.index}: {text}")
 
     @staticmethod
     def _encode_rows(state: _Template, start: int) -> list[Row]:
-        observations = state.history.observations
         return [
             (obs.tick, dict(obs.features), dict(obs.costs))
-            for obs in observations[start:]
+            for obs in state.history.rows_since(start)
         ]
 
     # Registration -----------------------------------------------------------
@@ -474,205 +473,87 @@ class ShardedEstimationService(BaseEstimationService):
             with self._stats_lock:
                 shard.waiters -= 1
 
-    def _fit_state(self, state: _Template) -> FittedCostModel:
-        """Ship the unsynced rows and fit on the shard; caller holds the
-        template lock.
+    def _fit_states(self, states: list[_Template]) -> Iterator[FitOutcome]:
+        """One ``fit_many`` RPC per busy shard, one parent thread per
+        busy shard: the caller's thread takes the first, a helper thread
+        each of the others.
 
-        The delta is computed *under the shard lock* so it is always
-        relative to what the replica actually holds — a respawn that
-        replayed the full history in between resets ``synced`` before
-        this runs, and the retry recomputes its delta after the replay.
+        The caller holds every template lock, which freezes routes
+        (:meth:`migrate` needs the template lock), so the group is
+        bucketed by the live routing table and a stale-route fit is
+        structurally impossible.  Each reply item carries the worker's
+        own fit seconds, so per-template heat stays per template.
         """
-        shard = self._shards[self.shard_of(state.key)]
-        with self._queue_slot(shard), shard.lock:
-            try:
-                fitted = self._fit_locked(shard, state)
-            except WorkerCrashError:
-                self._respawn_locked(shard)
-                fitted = self._fit_locked(shard, state)
-        return fitted
+        by_shard: dict[int, list[_Template]] = {}
+        for state in states:
+            by_shard.setdefault(self.shard_of(state.key), []).append(state)
+        groups = [(index, by_shard[index]) for index in sorted(by_shard)]
+        replies: list = [None] * len(groups)
 
-    def _fit_locked(self, shard: _Shard, state: _Template) -> FittedCostModel:
-        rows = self._encode_rows(state, start=state.synced)
-        try:
-            fitted = self._call_locked(
-                shard,
-                {
-                    "op": "fit",
-                    "key": state.key,
-                    "rows": rows,
-                    "expected_size": state.synced + len(rows),
-                },
-            )
-        except WorkerCrashError:
-            raise  # caller respawns; the replay resets the sync cursor
-        except (ValidationError, EstimationError) as error:
-            # The replica appended (part of) the delta before the fit
-            # failed — a too-short history fails *after* its rows land.
-            # Advance the cursor by exactly that amount or the next fit
-            # would re-send the rows and corrupt the replica.
-            state.synced += getattr(error, "worker_reply", {}).get("appended", 0)
-            raise
-        state.synced += len(rows)
-        return fitted
+        def fit(slot: int) -> None:
+            replies[slot] = self._fit_shard(*groups[slot])
 
-    @staticmethod
-    def _is_infrastructure_error(error: EstimationError) -> bool:
-        """A broken shard must surface from a burst, not be skipped as
-        "cannot fit yet" (which would silently serve stale snapshots)."""
-        return isinstance(error, ShardedServingError)
-
-    def _fit_stale(
-        self, stale: list[str], parallel: bool
-    ) -> dict[str, FittedCostModel | None]:
-        """One parent thread per busy shard issues that shard's fit
-        RPCs; the actual fitting runs in the worker processes, so a
-        burst overlaps across cores with no GIL contention."""
-        by_shard: dict[int, list[str]] = {}
-        for key in stale:
-            by_shard.setdefault(self.shard_of(key), []).append(key)
-        results: dict[str, FittedCostModel | None] = {}
-        if parallel and len(by_shard) > 1:
-            width = min(self.max_workers, len(by_shard))
-
-            def fit_group(group: list[str]) -> list[tuple[str, FittedCostModel | None]]:
-                return [(key, self._try_model(key)) for key in group]
-
-            with ThreadPoolExecutor(
-                max_workers=width, thread_name_prefix="shard-burst"
-            ) as pool:
-                for fitted in pool.map(fit_group, by_shard.values()):
-                    results.update(fitted)
-        else:
-            for key in stale:
-                results[key] = self._try_model(key)
-        return results
-
-    def _fit_batch(
-        self, stale: list[str]
-    ) -> dict[str, FittedCostModel | EstimationError]:
-        """One coalesced ``fit_many`` RPC per busy shard.
-
-        The batch-first transport the front door flushes through: every
-        shard receives its whole stale group (templates + row deltas) in
-        a single pipe round-trip instead of one ``fit`` RPC per
-        template.  Groups on different shards fan out across parent
-        threads exactly like :meth:`_fit_stale` bursts.
-        """
-        by_shard: dict[int, list[str]] = {}
-        for key in stale:
-            by_shard.setdefault(self.shard_of(key), []).append(key)
-        groups = list(by_shard.values())
-        outcomes: dict[str, FittedCostModel | EstimationError] = {}
-        if len(groups) > 1:
-            width = min(self.max_workers, len(groups))
-            with ThreadPoolExecutor(
-                max_workers=width, thread_name_prefix="shard-batch"
-            ) as pool:
-                for fitted in pool.map(self._fit_group, groups):
-                    outcomes.update(fitted)
-        elif groups:
-            outcomes.update(self._fit_group(groups[0]))
-        return outcomes
-
-    def _fit_group(
-        self, keys: list[str]
-    ) -> dict[str, FittedCostModel | EstimationError]:
-        """Fit one stale group through coalesced ``fit_many`` RPCs.
-
-        Lock order matches the single-call path (template lock, then
-        shard lock); template locks are taken in sorted key order so two
-        concurrent batches can never deadlock each other.  Holding every
-        template lock across the RPC keeps the captured history versions
-        authoritative — an external append blocks until the batch's
-        snapshots are installed.
-
-        The group arrives pre-bucketed by the caller's *stale scan*
-        routes, but those may be outdated by the time the locks land: a
-        migration between the scan and here moves a key to another
-        shard.  Routes *are* frozen once the template locks are held
-        (:meth:`migrate` needs them), so the group is re-bucketed by the
-        live routing table now and usually collapses back to one shard —
-        after a migration it simply issues one ``fit_many`` per live
-        shard, sequentially, and a stale-route fit is structurally
-        impossible.
-        """
-        keys = sorted(keys)
-        states = [self._state(key) for key in keys]
-        outcomes: dict[str, FittedCostModel | EstimationError] = {}
-        with ExitStack() as stack:
-            for state in states:
-                stack.enter_context(state.lock)
-            by_shard: dict[int, list[tuple[_Template, int]]] = {}
-            for state in states:
-                version = state.history.version
-                if state.snapshot is not None and state.snapshot_version == version:
-                    # Another thread refitted it since the stale scan;
-                    # same snapshot hit model() would record.
-                    outcomes[state.key] = state.snapshot
-                    with self._stats_lock:
-                        self._snapshot_hits += 1
+        helpers = [
+            threading.Thread(target=fit, args=(slot,), name="shard-fit")
+            for slot in range(1, len(groups))
+        ]
+        for helper in helpers:
+            helper.start()
+        fit(0)
+        for helper in helpers:
+            helper.join()
+        deferred: Exception | None = None
+        for (index, group), shard_replies in zip(groups, replies):
+            if isinstance(shard_replies, Exception):
+                if deferred is None:
+                    deferred = shard_replies
+                continue
+            shard = self._shards[index]
+            for state, reply in zip(group, shard_replies):
+                if reply["ok"]:
+                    yield state, reply["value"], reply["seconds"]
                     continue
-                by_shard.setdefault(self.shard_of(state.key), []).append(
-                    (state, version)
-                )
-            deferred: Exception | None = None
-            for index in sorted(by_shard):
-                shard = self._shards[index]
-                pending = by_shard[index]
-                with self._queue_slot(shard), shard.lock:
-                    started = time.perf_counter()
-                    try:
-                        replies = self._fit_many_locked(shard, pending)
-                    except WorkerCrashError:
-                        # The replay resets every sync cursor; the retry
-                        # recomputes its deltas against the fresh replica.
-                        self._respawn_locked(shard)
-                        replies = self._fit_many_locked(shard, pending)
-                    per_item = (time.perf_counter() - started) / len(pending)
-                    for (state, version), reply in zip(pending, replies):
-                        # Cursor math holds for success and failure
-                        # alike: the worker reports what actually landed.
-                        state.synced += reply.get("appended", 0)
-                        if reply["ok"]:
-                            state.snapshot = reply["value"]
-                            state.snapshot_version = version
-                            with self._stats_lock:
-                                self._fits += 1
-                            self._note_template_fit(state, per_item)
-                            outcomes[state.key] = reply["value"]
-                            continue
-                        kind, text = reply["kind"], reply["error"]
-                        if kind == "estimation":
-                            # "Cannot fit yet" — isolated, never poisons
-                            # the shard-mates.
-                            outcomes[state.key] = EstimationError(text)
-                        elif deferred is None:
-                            # Validation/internal failures surface
-                            # exactly as the single-call path raises
-                            # them — but only after every reply's
-                            # bookkeeping has landed.
-                            if kind == "validation":
-                                deferred = ValidationError(text)
-                            elif kind == "stale_route":
-                                deferred = StaleRouteError(
-                                    f"shard {shard.index}: {text}"
-                                )
-                            else:
-                                deferred = ShardedServingError(
-                                    f"shard {shard.index}: {text}"
-                                )
-            if deferred is not None:
-                raise deferred
-        return outcomes
+                error = self._reply_error(shard, reply)
+                if type(error) is EstimationError:
+                    # "Cannot fit yet" — isolated, never poisons the
+                    # shard-mates.
+                    yield state, error, 0.0
+                elif deferred is None:
+                    deferred = error
+        if deferred is not None:
+            raise deferred
 
-    def _fit_many_locked(
-        self, shard: _Shard, pending: list[tuple[_Template, int]]
-    ) -> list[dict]:
-        """Issue one ``fit_many`` for the shard's pending group (caller
-        holds the template locks and the shard lock)."""
+    def _fit_shard(
+        self, index: int, states: list[_Template]
+    ) -> list[dict] | Exception:
+        """One shard's ``fit_many`` (retried once through a respawn):
+        its reply items, or the infrastructure error that stopped it —
+        returned, not raised, so the other shards' fits still land."""
+        shard = self._shards[index]
+        try:
+            with self._queue_slot(shard), shard.lock:
+                try:
+                    replies = self._fit_many_locked(shard, states)
+                except WorkerCrashError:
+                    # The replay resets every sync cursor; the retry
+                    # recomputes its deltas against the fresh replica.
+                    self._respawn_locked(shard)
+                    replies = self._fit_many_locked(shard, states)
+                for state, reply in zip(states, replies):
+                    # Success or failure alike, the worker reports what
+                    # actually landed on the replica.
+                    state.synced += reply["appended"]
+        except Exception as error:  # noqa: BLE001 - surfaced by _fit_states
+            return error
+        return replies
+
+    def _fit_many_locked(self, shard: _Shard, states: list[_Template]) -> list[dict]:
+        """Issue one ``fit_many`` for the shard's group (caller holds the
+        template locks and the shard lock).  The row deltas are computed
+        here, under the shard lock, so they are always relative to what
+        the replica actually holds."""
         items = []
-        for state, _version in pending:
+        for state in states:
             rows = self._encode_rows(state, start=state.synced)
             items.append(
                 {
@@ -912,8 +793,8 @@ class ShardedEstimationService(BaseEstimationService):
     # Introspection --------------------------------------------------------
 
     def rpc_counts(self) -> dict[str, int]:
-        """Requests issued per RPC op since construction (``fit``,
-        ``fit_many``, ``register``, ...).  The batching guarantees are
+        """Requests issued per RPC op since construction (``fit_many``,
+        ``register``, ``extend``, ...).  The batching guarantees are
         asserted against these counters, never against timing."""
         with self._stats_lock:
             return dict(self._rpc_ops)

@@ -56,7 +56,8 @@ class TemplateLoad:
     shard: int
     #: Lifetime successful fits for this template.
     fits: int
-    #: EWMA of one fit's wall time (seconds); ``None`` until the first fit.
+    #: EWMA of one fit's wall time (seconds; measured by the shard
+    #: worker on the sharded backend); ``None`` until the first fit.
     fit_seconds_ewma: float | None
     #: Rows appended but not yet shipped to the shard worker.
     backlog: int

@@ -6,7 +6,8 @@ nothing*: it builds its own :class:`~repro.ires.modelling.Modelling`
 registry (and therefore its own estimation strategy, incremental DREAM
 engines and :class:`~repro.core.cache.ModelCache`) from a picklable
 zero-argument ``strategy_factory``, and owns a private replica of every
-history assigned to its shard.  The parent process keeps the
+history assigned to its shard (registered in that ``Modelling``, the
+worker's only replica registry).  The parent process keeps the
 authoritative histories and streams row deltas to the worker lazily,
 right before each fit, so the replica is bitwise-identical to the
 parent's history at every fit point — which is what makes replay after
@@ -32,8 +33,6 @@ Request shapes (``rows`` is ``[(tick, {feature: value}, {metric: value}),
     {"op": "register", "key": str,
      "feature_names": tuple[str, ...], "metrics": tuple[str, ...]}
     {"op": "extend",   "key": str, "rows": list}         -> new size
-    {"op": "fit",      "key": str, "rows": list,
-     "expected_size": int}                               -> FittedCostModel
     {"op": "fit_many", "items": [{"key", "rows", "expected_size"}, ...]}
                           -> [{"key", "ok", ...}, ...] (see below)
     {"op": "forget",   "key": str, "route_v": int}       -> None
@@ -54,36 +53,37 @@ never as a soft "cannot fit yet" — because a fit landing on a forgotten
 replica would mean the atomic route flip was not atomic after all.  A
 later ``register`` (the key migrating back) clears the tombstone.
 
-``fit_many`` is the batch-first sibling of ``fit``: one round-trip
-carries every stale template of the shard plus its coalesced row delta,
-and the reply isolates failures per item — each element is either
-``{"key", "ok": True, "value": FittedCostModel, "appended": int}`` or
-``{"key", "ok": False, "kind", "error", "appended": int}``.  A failing
-tenant never voids its shard-mates' fits, and ``appended`` lets the
-parent advance each sync cursor by what actually landed.
+``fit_many`` is the only fit op (a single-template fit is a one-item
+``fit_many``): one round-trip carries every stale template of the shard
+plus its coalesced row delta, and the reply isolates failures per item
+— each element is either ``{"key", "ok": True, "value":
+FittedCostModel, "appended": int, "seconds": float}`` or ``{"key",
+"ok": False, "kind", "error", "appended": int}``.  A failing tenant
+never voids its shard-mates' fits.  ``appended`` is how many of the
+item's rows the replica appended: a too-short history fails *after* its
+delta landed, and the parent must advance its sync cursor by exactly
+that amount or the next fit would re-send the rows and corrupt the
+replica's tick order.  ``seconds`` is the worker-measured wall time of
+that item's append + fit — the per-template heat the parent's
+rebalance policy ranks tenants by.
 
 Reply shapes::
 
     {"ok": True,  "value": <op-specific value>}
     {"ok": False, "kind": "validation" | "estimation" | "stale_route"
                           | "internal",
-     "error": str, ...}
+     "error": str}
 
-A failed ``fit`` reply additionally carries ``"appended": int`` — how
-many of the request's rows the replica appended before the failure.  A
-too-short history fails *after* the delta landed, and the parent must
-advance its sync cursor by exactly that amount or the next fit would
-re-send the rows and corrupt the replica's tick order.
-
-``kind`` preserves the parent-side exception taxonomy across the
-process boundary: ``validation`` re-raises as
+An unknown op (including the ``fit`` op of protocol v3) gets an
+``internal``-kind error.  ``kind`` preserves the parent-side exception
+taxonomy across the process boundary: ``validation`` re-raises as
 :class:`~repro.common.errors.ValidationError`, ``estimation`` as
 :class:`~repro.common.errors.EstimationError` (so "history still too
 short to fit" keeps its type through the gateway), ``stale_route`` as
 a :class:`~repro.serving.sharded.StaleRouteError`, and ``internal`` as
 a :class:`~repro.serving.sharded.ShardedServingError`.
 
-The ``fit`` request carries ``expected_size`` — the parent's history
+Each ``fit_many`` item carries ``expected_size`` — the parent's history
 size after the delta — as a desync tripwire: a replica that disagrees
 refuses to fit instead of silently training on a torn window.
 """
@@ -103,8 +103,10 @@ Row = tuple[int, dict[str, float], dict[str, float]]
 #: Wire-protocol version stamped on every request.  Bumped whenever a
 #: message shape changes incompatibly (v2 added ``fit_many`` and the
 #: version field itself; v3 added ``forget``/``hang`` and the
-#: ``stale_route`` error kind); parent and workers must match exactly.
-PROTOCOL_VERSION = 3
+#: ``stale_route`` error kind; v4 removed the single-template ``fit``
+#: op and added per-item ``seconds``); parent and workers must match
+#: exactly.
+PROTOCOL_VERSION = 4
 
 
 def strategy_from_config(config):
@@ -152,15 +154,6 @@ def _extend(history: ExecutionHistory, rows: Iterable[Row]) -> int:
     return history.size
 
 
-class _OpError(Exception):
-    """Wraps a handler failure with op-specific reply extras."""
-
-    def __init__(self, error: BaseException, extras: dict):
-        super().__init__(str(error))
-        self.error = error
-        self.extras = extras
-
-
 class _StaleRouteReference(Exception):
     """An RPC named a key that was migrated off this shard (serialised
     back as the ``stale_route`` kind)."""
@@ -172,8 +165,8 @@ class _WorkerState:
     def __init__(self, strategy_factory):
         from repro.ires.modelling import Modelling
 
+        #: The replica registry: one history per template on this shard.
         self.modelling = Modelling(strategy_factory())
-        self.histories: dict[str, ExecutionHistory] = {}
         #: Migration tombstones: key -> route version it left at.
         self.forgotten: dict[str, int] = {}
         self.fits = 0
@@ -186,8 +179,8 @@ class _WorkerState:
             key = message["key"]
             feature_names = tuple(message["feature_names"])
             metrics = tuple(message["metrics"])
-            existing = self.histories.get(key)
-            if existing is not None:
+            if key in self.modelling:
+                existing = self.modelling.history(key)
                 # Idempotent: a respawn replay may have registered this
                 # key just before the original register RPC is retried.
                 # Duplicate detection is the parent's job; only a schema
@@ -201,102 +194,78 @@ class _WorkerState:
                     f"template {key!r} already on this shard with a "
                     "different feature/metric schema"
                 )
-            history = ExecutionHistory(feature_names, metrics)
-            self.histories[key] = history
-            self.modelling.register(key, history)
+            self.modelling.register(key, ExecutionHistory(feature_names, metrics))
             self.forgotten.pop(key, None)  # the key migrated back
             return None
         if op == "forget":
             key = message["key"]
-            self.histories.pop(key, None)
             self.modelling.deregister(key)
             self.forgotten[key] = int(message.get("route_v", 0))
             return None
         if op == "extend":
             return _extend(self._history(message["key"]), message["rows"])
-        if op == "fit":
-            return self._fit_one(
-                message["key"], message["rows"], message["expected_size"]
-            )
         if op == "fit_many":
             # Per-item isolation: each item either fits or carries its
             # own typed failure; a broken tenant never voids the batch.
-            results = []
-            for item in message["items"]:
-                key = item["key"]
-                try:
-                    fitted = self._fit_one(
-                        key, item["rows"], item["expected_size"]
-                    )
-                except _OpError as wrapped:
-                    results.append(
-                        {
-                            "key": key,
-                            "ok": False,
-                            "kind": _error_kind(wrapped.error),
-                            "error": str(wrapped.error),
-                            **wrapped.extras,
-                        }
-                    )
-                else:
-                    results.append(
-                        {
-                            "key": key,
-                            "ok": True,
-                            "value": fitted,
-                            "appended": len(item["rows"]),
-                        }
-                    )
-            return results
+            return [self._fit_item(item) for item in message["items"]]
         if op == "stats":
             engine_cache = getattr(self.modelling.strategy, "engine_cache", None)
             return {
                 "pid": os.getpid(),
-                "templates": len(self.histories),
+                "templates": len(self.modelling),
                 "fits": self.fits,
                 "engine_cache": None if engine_cache is None else engine_cache.stats,
             }
         raise RuntimeError(f"unknown worker op {op!r}")
 
-    def _fit_one(self, key: str, rows: Iterable[Row], expected: int):
-        """Append one template's delta and refit it (``fit`` semantics;
-        ``fit_many`` calls this once per item)."""
+    def _fit_item(self, item: dict) -> dict:
+        """Append one ``fit_many`` item's delta and refit its template;
+        the reply item reports how many rows landed either way."""
+        key = item["key"]
         appended = 0
+        started = time.perf_counter()
         try:
             history = self._history(key)
-            for tick, features, costs in rows:
+            for tick, features, costs in item["rows"]:
                 history.append(tick, features, costs)
                 appended += 1
-            if history.size != expected:
+            if history.size != item["expected_size"]:
                 raise RuntimeError(
                     f"shard replica desync for {key!r}: replica has "
-                    f"{history.size} rows, parent expected {expected}"
+                    f"{history.size} rows, parent expected "
+                    f"{item['expected_size']}"
                 )
             fitted = self.modelling.fit(key)
         except BaseException as error:  # noqa: BLE001 - reply carries it
-            # The parent's sync cursor must advance by what actually
-            # landed, even though the fit failed (see module docs).
-            raise _OpError(error, {"appended": appended}) from error
+            return {
+                "key": key,
+                "ok": False,
+                "kind": _error_kind(error),
+                "error": str(error),
+                "appended": appended,
+            }
         self.fits += 1
-        return fitted
+        return {
+            "key": key,
+            "ok": True,
+            "value": fitted,
+            "appended": appended,
+            "seconds": time.perf_counter() - started,
+        }
 
     def _history(self, key: str) -> ExecutionHistory:
-        try:
-            return self.histories[key]
-        except KeyError:
-            if key in self.forgotten:
-                # Not "cannot fit yet" (the estimation kind, which batch
-                # callers soak up): a straggler RPC outran a route flip,
-                # and that must surface as a loud infrastructure error.
-                raise _StaleRouteReference(
-                    f"stale route: replica for {key!r} was migrated off "
-                    f"this shard at route version {self.forgotten[key]}; "
-                    "refusing the RPC"
-                ) from None
-            known = ", ".join(sorted(self.histories)) or "<none>"
-            raise EstimationError(
-                f"shard has no replica for {key!r}; have: {known}"
-            ) from None
+        if key in self.forgotten:
+            # Not "cannot fit yet" (the estimation kind, which batch
+            # callers soak up): a straggler RPC outran a route flip, and
+            # that must surface as a loud infrastructure error.  A key
+            # is never both registered and tombstoned: register clears
+            # the tombstone, forget deregisters the replica.
+            raise _StaleRouteReference(
+                f"stale route: replica for {key!r} was migrated off "
+                f"this shard at route version {self.forgotten[key]}; "
+                "refusing the RPC"
+            )
+        return self.modelling.history(key)
 
 
 def _serve_boot_error(conn, reply: dict) -> None:
@@ -407,13 +376,6 @@ def worker_main(conn, strategy_factory) -> None:
             continue
         try:
             reply = {"ok": True, "value": state.handle(message)}
-        except _OpError as wrapped:
-            reply = {
-                "ok": False,
-                "kind": _error_kind(wrapped.error),
-                "error": str(wrapped.error),
-                **wrapped.extras,
-            }
         except BaseException as error:  # noqa: BLE001 - serialise everything
             reply = {"ok": False, "kind": _error_kind(error), "error": str(error)}
         try:

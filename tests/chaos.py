@@ -2,7 +2,7 @@
 
 ISSUE 7's equivalence bar for the elastic sharded backend is the same
 one PR 5 set for the static backend, now under *placement* chaos: for
-ANY interleaving of observes / fits / bursts / batch refreshes, and ANY
+ANY interleaving of observes / fits / batch refreshes, and ANY
 plan of infrastructure faults — worker crashes, wedged (hung) workers,
 forced template migrations, pool grow/shrink — replaying the identical
 operation sequence through :class:`~repro.serving.ShardedEstimationService`
@@ -146,8 +146,8 @@ def replay_script(script, keys, sharded, threaded, *, faults=(), seed=23,
 
     Script entries are ``(index, op)`` with ``op`` one of ``observe``
     (next row of tenant ``index % len(keys)``'s deterministic stream),
-    ``fit`` (single-template model, failure parity included), ``batch``
-    (coalesced ``refresh_batch``) and ``burst`` (parallel ``refresh``).
+    ``fit`` (single-template model, failure parity included) and
+    ``batch`` (coalesced ``refresh_batch`` over every tenant).
     Ends with a full sweep plus the fit-counter equality check.
     """
     log = log if log is not None else ChaosLog()
@@ -174,9 +174,9 @@ def replay_script(script, keys, sharded, threaded, *, faults=(), seed=23,
                     sharded.model(key)
                 continue
             assert_models_bitwise_equal(key, sharded.model(key), threaded_model)
-        elif op == "batch":
+        else:  # batch
             # The coalesced path (one fit_many per shard) against the
-            # in-process base implementation of the same call.
+            # in-process serial loop of the same call.
             sharded_result = sharded.refresh_batch()
             threaded_result = threaded.refresh_batch()
             assert sorted(sharded_result.models) == sorted(threaded_result.models)
@@ -186,20 +186,12 @@ def replay_script(script, keys, sharded, threaded, *, faults=(), seed=23,
                 assert_models_bitwise_equal(
                     fitted_key, sharded_result.models[fitted_key], threaded_model
                 )
-        else:  # burst
-            sharded_models = sharded.refresh(parallel=True)
-            threaded_models = threaded.refresh(parallel=True)
-            assert sorted(sharded_models) == sorted(threaded_models)
-            for fitted_key, threaded_model in threaded_models.items():
-                assert_models_bitwise_equal(
-                    fitted_key, sharded_models[fitted_key], threaded_model
-                )
     # Late faults (at >= len(script)) fire before the final sweep: the
     # sweep itself must still agree through them.
     while pending:
         _apply(pending.pop(0), sharded, keys, log)
-    final_sharded = sharded.refresh(parallel=False)
-    final_threaded = threaded.refresh(parallel=False)
+    final_sharded = sharded.refresh_batch().models
+    final_threaded = threaded.refresh_batch().models
     assert sorted(final_sharded) == sorted(final_threaded)
     for key, threaded_model in final_threaded.items():
         assert_models_bitwise_equal(key, final_sharded[key], threaded_model)

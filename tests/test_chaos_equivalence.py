@@ -9,6 +9,7 @@ migrate / resize at arbitrary script points — and replays them through
 assertion against the single-process oracle.
 """
 
+import sys
 import threading
 
 import pytest
@@ -37,9 +38,9 @@ from tests.helpers import (
 )
 
 
-def _warm_script(keys, rounds, bursts, op="burst"):
+def _warm_script(keys, rounds, bursts):
     """``rounds`` observe rounds across all keys, then ``bursts`` cycles
-    of one observe round + one collective fit; returns (script, the step
+    of one observe round + one ``refresh_batch``; returns (script, the step
     index of each collective-fit step)."""
     script = []
     for _ in range(rounds):
@@ -48,7 +49,7 @@ def _warm_script(keys, rounds, bursts, op="burst"):
     for _ in range(bursts):
         script += [(i, "observe") for i in range(len(keys))]
         fit_steps.append(len(script))
-        script.append((0, op))
+        script.append((0, "batch"))
     return script, fit_steps
 
 
@@ -73,7 +74,7 @@ class TestScriptedChaos:
 
     def test_pool_resize_grow_and_shrink_mid_stream(self):
         keys = [f"tenant-{i}" for i in range(5)]
-        script, fit_steps = _warm_script(keys, rounds=8, bursts=4, op="batch")
+        script, fit_steps = _warm_script(keys, rounds=8, bursts=4)
         faults = [
             Fault(at=fit_steps[0], kind="resize", workers=4),
             Fault(at=fit_steps[2], kind="resize", workers=1),
@@ -135,15 +136,34 @@ class TestScriptedChaos:
             service.resize(3)
 
     def test_concurrent_migrations_under_live_traffic(self):
-        """Tenant threads record and fit while the control plane bounces
-        their replicas between shards; the end state must equal a clean
-        sequential in-process replay."""
+        """Tenant threads record and fit while group refreshes fan out
+        across every shard and the control plane bounces replicas
+        between shards; the end state must equal a clean sequential
+        in-process replay, and no fit may be lost from the counters."""
         keys = [f"tenant-{i}" for i in range(6)]
         streams = {key: observation_stream(key, 24, seed=71) for key in keys}
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            final = self._live_traffic(keys, streams)
+        finally:
+            sys.setswitchinterval(switch_interval)
+        replayed = EstimationService(
+            strategy=dream_strategy(r2_required=R2, max_window=MAX_WINDOW)
+        )
+        for key in keys:
+            replayed.register(key, feature_names=FEATURES, metrics=METRICS)
+            for tick, features, costs in streams[key]:
+                replayed.record(key, tick, features, costs)
+        for key in keys:
+            assert_models_bitwise_equal(key, final[key], replayed.model(key))
+
+    @staticmethod
+    def _live_traffic(keys, streams):
         with ShardedEstimationService(sharded_factory, workers=3) as sharded:
             for key in keys:
                 sharded.register(key, feature_names=FEATURES, metrics=METRICS)
-            barrier = threading.Barrier(len(keys) + 1)
+            barrier = threading.Barrier(len(keys) + 3)
 
             def tenant(key: str) -> None:
                 barrier.wait()
@@ -161,23 +181,30 @@ class TestScriptedChaos:
                     key = keys[round_index % len(keys)]
                     sharded.migrate(key, (round_index + 1) % sharded.workers)
 
+            def group_refresher(subset) -> None:
+                barrier.wait()
+                for _ in range(8):
+                    sharded.refresh_batch(subset)
+
             threads = [threading.Thread(target=tenant, args=(key,)) for key in keys]
             threads.append(threading.Thread(target=control_plane))
+            # Two overlapping groups: their template locks interleave.
+            threads.append(threading.Thread(target=group_refresher, args=(keys,)))
+            threads.append(
+                threading.Thread(target=group_refresher, args=(keys[::-1][:4],))
+            )
             for thread in threads:
                 thread.start()
             for thread in threads:
-                thread.join()
+                thread.join(timeout=120)
+                assert not thread.is_alive(), "deadlock under live traffic"
             assert sharded.migrations >= 1
             final = {key: sharded.model(key) for key in keys}
-        replayed = EstimationService(
-            strategy=dream_strategy(r2_required=R2, max_window=MAX_WINDOW)
-        )
-        for key in keys:
-            replayed.register(key, feature_names=FEATURES, metrics=METRICS)
-            for tick, features, costs in streams[key]:
-                replayed.record(key, tick, features, costs)
-        for key in keys:
-            assert_models_bitwise_equal(key, final[key], replayed.model(key))
+            stats = sharded.stats
+            loads = sharded.template_loads()
+            assert sum(load.fits for load in loads) == stats.fits
+            assert sum(shard["fits"] for shard in sharded.shard_stats()) == stats.fits
+        return final
 
 
 class TestGatewayChaos:
@@ -198,7 +225,7 @@ class TestGatewayChaos:
 
 
 chaos_ops = st.sampled_from(
-    ["observe", "observe", "observe", "fit", "burst", "batch"]
+    ["observe", "observe", "observe", "fit", "batch", "batch"]
 )
 chaos_scripts = st.lists(
     st.tuples(st.integers(min_value=0, max_value=7), chaos_ops), max_size=50

@@ -108,8 +108,6 @@ def make_serving_report() -> ServingReport:
             fits=19,
             snapshot_hits=7,
             observations=80,
-            bursts=2,
-            burst_fits=3,
             engine_cache=CacheStats(hits=5, misses=2, evictions=1, size=4),
             batch_refreshes=6,
             batch_fits=11,

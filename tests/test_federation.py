@@ -92,8 +92,6 @@ class TestFederationConfig:
         ("cache_capacity", -1, "cache_capacity"),
         ("cache_ttl_seconds", 0, "cache_ttl_seconds"),
         ("cache_ttl_seconds", -0.5, "cache_ttl_seconds"),
-        ("max_fit_workers", 0, "max_fit_workers"),
-        ("max_fit_workers", -4, "max_fit_workers"),
         ("shard_workers", 0, "shard_workers"),
         ("shard_workers", -2, "shard_workers"),
         ("shard_rpc_timeout", 0, "shard_rpc_timeout"),

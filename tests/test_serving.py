@@ -3,8 +3,8 @@
 Three layers of guarantees:
 
 1. Functional — registration, per-template histories, version-keyed
-   snapshot reuse, stale detection, burst refresh (parallel and
-   sequential produce the same models), stats counters.
+   snapshot reuse, stale detection, group refresh (a group fit and
+   one-template fits produce the same models), stats counters.
 2. Equivalence — the service's models match the batch DREAM oracle fit
    on the same histories (window choice and predictions).
 3. Concurrency stress (``slow`` marker) — many threads interleaving
@@ -72,47 +72,50 @@ class TestServiceFunctional:
             feed(service, f"q{i}", 10, seed=i)
         service.model("q0")  # q0 fresh, q1..q3 stale
         assert service.stale_keys() == ["q1", "q2", "q3"]
-        models = service.refresh()
-        assert set(models) == {"q0", "q1", "q2", "q3"}
+        result = service.refresh_batch()
+        assert set(result.models) == {"q0", "q1", "q2", "q3"}
+        assert result.fitted == ("q1", "q2", "q3")
         assert service.stale_keys() == []
         stats = service.stats
-        assert stats.bursts == 1 and stats.burst_fits == 3
-        assert stats.fits == 4  # q0 once + three burst fits
+        assert stats.batch_refreshes == 1 and stats.batch_fits == 3
+        assert stats.fits == 4  # q0 once + three group fits
+        assert stats.snapshot_hits == 1  # q0, fresh inside the group
 
-    def test_parallel_and_sequential_refresh_agree(self):
+    def test_group_and_single_template_fits_agree(self):
         streams = {f"q{i}": 14 + i for i in range(6)}
         results = {}
-        for parallel in (False, True):
+        for grouped in (False, True):
             service = make_service()
             for key, ticks in streams.items():
                 service.register(key, feature_names=FEATURES, metrics=METRICS)
                 feed(service, key, ticks, seed=len(key))
-            models = service.refresh(parallel=parallel)
+            if grouped:
+                models = service.refresh_batch().models
+            else:
+                models = {key: service.model(key) for key in streams}
             probe = np.array([55.0, 4.0])
-            results[parallel] = {
+            results[grouped] = {
                 key: (model.training_size, model.predict(probe))
                 for key, model in models.items()
             }
-        assert results[False].keys() == results[True].keys()
-        for key in results[False]:
-            size_seq, pred_seq = results[False][key]
-            size_par, pred_par = results[True][key]
-            assert size_seq == size_par
-            for metric in pred_seq:
-                assert pred_par[metric] == pytest.approx(pred_seq[metric], rel=1e-12)
+        assert results[False] == results[True]
 
     def test_unfittable_template_does_not_poison_the_burst(self):
-        """A tenant with too little history is skipped by refresh();
-        healthy tenants still get their models."""
+        """A tenant with too little history comes back as a typed error
+        from refresh_batch(); healthy tenants still get their models."""
         service = make_service()
         service.register("healthy", feature_names=FEATURES, metrics=METRICS)
         service.register("empty", feature_names=FEATURES, metrics=METRICS)
         service.register("short", feature_names=FEATURES, metrics=METRICS)
         feed(service, "healthy", 12)
         feed(service, "short", 2)  # below the minimum window L + 2
-        for parallel in (True, False):
-            models = service.refresh(parallel=parallel)
-            assert set(models) == {"healthy"}
+        for _ in range(2):
+            result = service.refresh_batch()
+            assert set(result.models) == {"healthy"}
+            assert set(result.errors) == {"empty", "short"}
+            assert all(
+                type(error) is EstimationError for error in result.errors.values()
+            )
         # The unfittable tenants still raise loudly when asked directly.
         with pytest.raises(EstimationError):
             service.model("empty")
@@ -137,15 +140,11 @@ class TestServiceFunctional:
         assert stats.engine_cache is not None
         assert stats.engine_cache.misses == 1
 
-    def test_max_workers_validation(self):
-        with pytest.raises(ValidationError):
-            make_service(max_workers=0)
-
 
 class TestServiceOracleEquivalence:
     def test_service_models_match_batch_oracle(self):
         """Acceptance: the serving path (incremental engines, snapshot
-        cache, burst pool) chooses the same windows and predicts within
+        cache, group refresh) chooses the same windows and predicts within
         1e-6 of the batch DREAM oracle on the paper drift scenario."""
         from repro.core import DreamEstimator
 
@@ -155,7 +154,7 @@ class TestServiceOracleEquivalence:
         for i, key in enumerate(keys):
             service.register(key, feature_names=FEATURES, metrics=METRICS)
             feed(service, key, 30 + i, seed=100 + i)
-        models = service.refresh(parallel=True)
+        models = service.refresh_batch().models
         probe = np.array([55.0, 4.0])
         for key in keys:
             reference = oracle.fit(service.history(key).datasets())
@@ -264,7 +263,7 @@ class TestServiceConcurrencyStress:
 
         def refresher():
             for _ in range(10):
-                service.refresh(parallel=True)
+                service.refresh_batch()
 
         threads = [
             threading.Thread(target=tenant, args=(key,))
@@ -279,7 +278,7 @@ class TestServiceConcurrencyStress:
         assert sorted(registered_twice) == sorted(keys)  # one loser per key
         assert service.keys() == sorted(keys)
         probe = np.array([55.0, 4.0])
-        final = service.refresh(parallel=False)
+        final = service.refresh_batch().models
         for key in keys:
             history = service.history(key)
             # Both racing tenants appended the same deterministic stream,

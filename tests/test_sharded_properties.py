@@ -2,7 +2,7 @@
 
 The acceptance bar for the cross-process backend is *oracle
 equivalence*: for ANY tenant count, shard count and interleaving of
-observes / fits / bursts, replaying the identical operation sequence
+observes / fits / batch refreshes, replaying the identical operation sequence
 through :class:`~repro.serving.ShardedEstimationService` and through
 the in-process :class:`~repro.serving.EstimationService` must produce
 
@@ -55,13 +55,13 @@ from tests.helpers import (
     sharded_factory,
 )
 
-ops = st.sampled_from(["observe", "observe", "observe", "fit", "burst"])
+ops = st.sampled_from(["observe", "observe", "observe", "fit", "batch"])
 scripts = st.lists(st.tuples(st.integers(min_value=0, max_value=7), ops), max_size=60)
 
-# Variant that also exercises the coalesced refresh_batch path (PR 6):
-# weighted towards observes so batches actually have stale work to do.
+# Variant weighted towards coalesced refresh_batch calls, still with
+# enough observes that batches have stale work to do.
 batch_ops = st.sampled_from(
-    ["observe", "observe", "observe", "fit", "burst", "batch", "batch"]
+    ["observe", "observe", "observe", "fit", "batch", "batch", "batch"]
 )
 batch_scripts = st.lists(
     st.tuples(st.integers(min_value=0, max_value=7), batch_ops), max_size=60
@@ -111,7 +111,7 @@ class TestShardedEquivalenceProperties:
         script = [(i % 5, "observe") for i in range(40)] + [
             (0, "fit"),
             (0, "fit"),  # second is a snapshot hit on both services
-            (3, "burst"),
+            (3, "batch"),
         ]
         keys = [f"tenant-{i}" for i in range(5)]
         threaded = EstimationService(
@@ -318,7 +318,7 @@ class TestShardedCrashStress:
                 faults.append(
                     Fault(at=len(script), kind="crash", shard=int(rng.integers(0, 4)))
                 )
-            script.append((0, "burst"))
+            script.append((0, "batch"))
         log = run_chaos_script(
             script,
             faults,

@@ -58,8 +58,6 @@ class TestShardedFunctional:
         with pytest.raises(ValidationError):
             ShardedEstimationService(factory, workers=0)
         with pytest.raises(ValidationError):
-            ShardedEstimationService(factory, workers=2, max_workers=0)
-        with pytest.raises(ValidationError):
             ShardedEstimationService(factory, workers=2, rpc_timeout=0.0)
 
     def test_shard_assignment_is_stable_and_total(self, sharded):
@@ -109,17 +107,19 @@ class TestShardedFunctional:
             for metric in METRICS:
                 assert batched[metric][i] == pytest.approx(single[metric], rel=1e-12)
 
-    def test_refresh_parallel_and_sequential_agree(self, sharded):
+    def test_refresh_batch_twice_reuses_the_snapshots(self, sharded):
         keys = [f"q{i}" for i in range(5)]
         for key in keys:
             sharded.register(key, feature_names=FEATURES, metrics=METRICS)
             feed(sharded, key, 12, seed=3)
-        parallel = sharded.refresh(parallel=True)
-        assert sorted(parallel) == keys
-        # Re-refresh sequentially: everything fresh -> same snapshots.
-        sequential = sharded.refresh(parallel=False)
+        first = sharded.refresh_batch()
+        assert sorted(first.models) == keys and first.fitted == tuple(keys)
+        # Everything fresh now: no refits, the same snapshot objects.
+        second = sharded.refresh_batch()
+        assert second.fitted == ()
         for key in keys:
-            assert sequential[key] is parallel[key]
+            assert second.models[key] is first.models[key]
+        assert sharded.stats.fits == len(keys)
 
     def test_failed_fit_keeps_replica_in_sync(self, sharded):
         """Regression (found by hypothesis): a fit on a too-short
@@ -143,21 +143,22 @@ class TestShardedFunctional:
         sharded.register("ready", feature_names=FEATURES, metrics=METRICS)
         sharded.register("empty", feature_names=FEATURES, metrics=METRICS)
         feed(sharded, "ready", 12)
-        models = sharded.refresh()
-        assert "ready" in models and "empty" not in models
+        result = sharded.refresh_batch()
+        assert set(result.models) == {"ready"}
+        assert type(result.errors["empty"]) is EstimationError
 
     def test_stats_aggregate_engine_caches_across_workers(self, sharded):
         keys = [f"q{i}" for i in range(6)]
         for key in keys:
             sharded.register(key, feature_names=FEATURES, metrics=METRICS)
             feed(sharded, key, 12, seed=5)
-        sharded.refresh()
-        sharded.refresh()  # all fresh: no new fits
+        sharded.refresh_batch()
+        sharded.refresh_batch()  # all fresh: no new fits
         stats = sharded.stats
         assert stats.templates == 6
         assert stats.fits == 6
         assert stats.observations == 6 * 12
-        assert stats.bursts == 2
+        assert stats.batch_refreshes == 2 and stats.batch_fits == 6
         # One engine miss per template, summed across both workers.
         assert stats.engine_cache is not None
         assert stats.engine_cache.misses == 6
@@ -413,10 +414,13 @@ class TestLoadAccounting:
             before = sharded.rpc_counts()
             result = sharded.refresh_batch()
             after = sharded.rpc_counts()
-            # One coalesced fit_many for the whole round, zero fallback
-            # per-template fit RPCs.
-            assert after.get("fit_many", 0) - before.get("fit_many", 0) == 1
-            assert after.get("fit", 0) == before.get("fit", 0)
+            # One coalesced fit_many for the whole round (one shard),
+            # and no other RPC.
+            assert {
+                op: count - before.get(op, 0)
+                for op, count in after.items()
+                if count != before.get(op, 0)
+            } == {"fit_many": 1}
             assert "warm" in result.models and "short" in result.errors
             # The failed fit still shipped its rows (the replica stays
             # in sync), so the backlog fully drains.
@@ -441,6 +445,137 @@ class TestLoadAccounting:
         assert template.key == "q1" and template.shard == home
         assert template.fits == 1
         assert template.fit_seconds_ewma is not None
+
+
+class TestFitRpcContract:
+    """Every fit is a ``fit_many``: one RPC per busy shard per group, a
+    stale ``model()`` is a one-item group, and the v3 single-template
+    ``fit`` op is gone from the worker."""
+
+    @staticmethod
+    def spy_fit_many(service):
+        """Record every ``fit_many`` request and reply on ``service``."""
+        calls = []
+        raw = service._call_locked
+
+        def spy(shard, message):
+            reply = raw(shard, message)
+            if message["op"] == "fit_many":
+                calls.append((shard.index, message, reply))
+            return reply
+
+        service._call_locked = spy
+        return calls
+
+    def test_stale_model_is_one_fit_many_with_one_item(self, sharded):
+        sharded.register("q1", feature_names=FEATURES, metrics=METRICS)
+        sharded.register("q2", feature_names=FEATURES, metrics=METRICS)
+        feed(sharded, "q1", 12)
+        feed(sharded, "q2", 12)
+        calls = self.spy_fit_many(sharded)
+        before = sharded.rpc_counts()
+        sharded.model("q1")
+        sharded.model("q1")  # fresh: a snapshot hit, no RPC
+        after = sharded.rpc_counts()
+        assert after.get("fit_many", 0) - before.get("fit_many", 0) == 1
+        assert sum(after.values()) - sum(before.values()) == 1
+        ((index, message, _reply),) = calls
+        assert index == sharded.shard_of("q1")
+        assert [item["key"] for item in message["items"]] == ["q1"]
+        assert len(message["items"][0]["rows"]) == 12
+
+    @pytest.mark.parametrize("spread", ["one-shard", "both-shards"])
+    def test_refresh_batch_issues_one_fit_many_per_busy_shard(self, sharded, spread):
+        candidates = [f"q{i}" for i in range(32)]
+        if spread == "one-shard":
+            keys = [key for key in candidates if shard_of(key, 2) == 0][:4]
+        else:
+            keys = candidates[:6]
+        busy = {shard_of(key, 2) for key in keys}
+        assert len(busy) == (1 if spread == "one-shard" else 2)
+        for key in keys:
+            sharded.register(key, feature_names=FEATURES, metrics=METRICS)
+            feed(sharded, key, 12, seed=5)
+        calls = self.spy_fit_many(sharded)
+        before = sharded.rpc_counts()
+        result = sharded.refresh_batch(keys)
+        after = sharded.rpc_counts()
+        assert sorted(result.models) == sorted(keys)
+        assert after.get("fit_many", 0) - before.get("fit_many", 0) == len(busy)
+        assert sorted(index for index, _, _ in calls) == sorted(busy)
+        shipped = sorted(
+            item["key"] for _, message, _ in calls for item in message["items"]
+        )
+        assert shipped == sorted(keys)
+
+    def test_template_heat_is_the_worker_measured_fit_time(self, sharded):
+        """Each reply item carries its own fit seconds; a template's
+        first fit seeds its EWMA with exactly that sample, so two
+        shard-mates fitted by one RPC keep their own heat rather than a
+        shard average."""
+        keys = [key for key in (f"q{i}" for i in range(32)) if shard_of(key, 2) == 1]
+        keys = keys[:2]
+        for key in keys:
+            sharded.register(key, feature_names=FEATURES, metrics=METRICS)
+            feed(sharded, key, 12 + 6 * keys.index(key), seed=11)
+        calls = self.spy_fit_many(sharded)
+        sharded.refresh_batch(keys)
+        ((_index, _message, replies),) = calls
+        seconds = {reply["key"]: reply["seconds"] for reply in replies}
+        heat = {load.key: load.fit_seconds_ewma for load in sharded.template_loads()}
+        assert heat == seconds
+        assert all(value > 0.0 for value in heat.values())
+
+    def test_legacy_fit_op_gets_a_typed_internal_error(self, sharded):
+        sharded.register("q1", feature_names=FEATURES, metrics=METRICS)
+        shard = sharded._shards[sharded.shard_of("q1")]
+        legacy = {"op": "fit", "key": "q1", "rows": [], "expected_size": 0}
+        with shard.lock:
+            with pytest.raises(ShardedServingError, match="unknown worker op") as info:
+                sharded._call_locked(shard, legacy)
+        assert type(info.value) is ShardedServingError
+        # The worker survives the refusal and keeps serving.
+        feed(sharded, "q1", 12)
+        assert sharded.model("q1") is not None
+        assert sharded.respawns == 0
+
+
+class TestHistoryReads:
+    def test_durable_observe_and_sharded_fit_never_rebuild_the_history_view(
+        self, tmp_path, monkeypatch
+    ):
+        """``ExecutionHistory.observations`` rebuilds an O(size) tuple
+        after every append; the per-row paths (journaling the appended
+        row, shipping a shard's row delta, folding new rows into the
+        DREAM engine) must read only the new rows.  Patched before the
+        gateway forks its worker, so the worker side is covered too."""
+        from repro.core.history import ExecutionHistory
+        from repro.federation import DurabilityConfig, FederationConfig, ObserveRequest
+        from repro.midas import MidasSystem
+
+        def rebuilt(_history):
+            raise AssertionError("per-row path read ExecutionHistory.observations")
+
+        monkeypatch.setattr(ExecutionHistory, "observations", property(rebuilt))
+        config = FederationConfig(
+            serving_backend="sharded",
+            shard_workers=1,
+            max_window=24,
+            durability=DurabilityConfig(dir=str(tmp_path)),
+        )
+        midas = MidasSystem(patient_count=250, seed=43, config=config)
+        gateway = midas.gateway
+        try:
+            key = "medical-demographics"
+            for tick in range(8):
+                gateway.observe(ObserveRequest(key, {"min_age": 35 + tick}))
+            first = gateway.model(key)
+            gateway.observe(ObserveRequest(key, {"min_age": 60}))
+            second = gateway.model(key)
+            assert second is not first
+            assert gateway.engine.serving.respawns == 0
+        finally:
+            gateway.close()
 
 
 class TestElasticTopology:
@@ -509,7 +644,7 @@ class TestElasticTopology:
             for key in keys:
                 sharded.register(key, feature_names=FEATURES, metrics=METRICS)
                 feed(sharded, key, 12, seed=7)
-            before = sharded.refresh(parallel=False)
+            before = sharded.refresh_batch().models
             assert sharded.resize(2) == 2
             assert sharded.workers == 2
             # Every tenant landed on its CRC32 placement in the smaller
@@ -518,7 +653,7 @@ class TestElasticTopology:
             for key in keys:
                 assert sharded.shard_of(key) == shard_of(key, 2)
             # Models survive: nothing was stale, so nothing refits.
-            after = sharded.refresh(parallel=False)
+            after = sharded.refresh_batch().models
             for key in keys:
                 assert after[key] is before[key]
 
