@@ -11,7 +11,7 @@ services replay the identical stream:
   coalesced fit round serialises the eight hot fits on shard 0 while
   shard 1 naps;
 * **elastic** — one :class:`~repro.serving.RebalancePolicy` control
-  cycle runs between bursts (the gateway's cadence hook, driven here
+  cycle runs between bursts (the gateway's per-flush hook, driven here
   directly), migrating hot templates onto the cold shard until the
   heat hysteresis says balanced.
 
@@ -214,7 +214,7 @@ def run_rebalance(quick: bool = False) -> RebalanceReport:
             elastic_seconds += time.perf_counter() - started
 
             # The control loop runs after the serving burst, exactly
-            # like the gateway's per-flush cadence hook.
+            # like the gateway's per-flush rebalance hook.
             started = time.perf_counter()
             elastic.rebalance(policy)
             control_seconds += time.perf_counter() - started

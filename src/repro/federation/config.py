@@ -118,10 +118,9 @@ class FederationConfig:
         (:class:`~repro.serving.topology.RebalanceConfig`) for the
         sharded backend: the gateway runs one
         :class:`~repro.serving.topology.RebalancePolicy` control cycle
-        every ``rebalance.cadence_flushes`` front-door flushes (and on
-        explicit ``gateway.rebalance()`` calls), migrating hot templates
-        to cold shards and growing/shrinking the pool.  ``None`` (the
-        default) leaves placement static.  Requires
+        after every front-door flush (and on explicit
+        ``gateway.rebalance()`` calls), migrating hot templates to cold
+        shards.  ``None`` (the default) leaves placement static.  Requires
         ``serving_backend="sharded"`` — the threaded service has no
         shards to balance.
     governance:

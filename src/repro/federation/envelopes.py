@@ -356,8 +356,7 @@ class TopologyReport:
     Produced by ``gateway.topology_report()`` (and returned from
     ``gateway.rebalance()``).  ``route_version`` is the monotone counter
     bumped by every route flip; ``shards`` carries the per-shard load
-    accounting (routed templates, pending-row backlog, RPC queue depth,
-    fit wall-time EWMA) the rebalance policy reads.  For the threaded
+    accounting (routed templates, pending-row backlog).  For the threaded
     backend every pool field is zero/empty — there is no topology to
     report, only the fact that placement is not in play.
     """
@@ -379,15 +378,9 @@ class TopologyReport:
             f"migrations={self.migrations}, respawns={self.respawns}"
         ]
         for shard in self.shards:
-            ewma = (
-                "-"
-                if shard.fit_seconds_ewma is None
-                else f"{shard.fit_seconds_ewma * 1000.0:.2f}ms"
-            )
             lines.append(
                 f"  shard {shard.index}: templates={len(shard.routed)}, "
-                f"backlog={shard.backlog}, queue={shard.queue_depth}, "
-                f"fit_ewma={ewma}"
+                f"backlog={shard.backlog}"
             )
         if self.last_cycle is not None:
             lines.append(f"  last cycle: {self.last_cycle.describe()}")

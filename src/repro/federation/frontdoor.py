@@ -743,7 +743,7 @@ class FrontDoor:
                 # acknowledged work.
                 gateway._durability_sync()
         # The gateway's per-flush hooks: audit record, rebalance
-        # cadence, journal sync.
+        # cycle, journal sync.
         gateway._flushed(batch)
         return batch
 

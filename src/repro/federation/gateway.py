@@ -66,7 +66,6 @@ from repro.federation.frontdoor import FrontDoor, IngestTicket
 from repro.federation.registry import create_serving, create_strategy
 from repro.federation.session import GatewaySession
 from repro.common.errors import EstimationError
-from repro.core.cache import CacheStats
 from repro.core.history import ExecutionHistory
 from repro.ires.deployment import Deployment
 from repro.ires.enumerator import QepCandidate, QepEnumerator
@@ -151,15 +150,14 @@ class FederationGateway:
         self._closed = False
         self._close_lock = threading.Lock()
         # Elastic-topology control loop: one stateful policy for the
-        # gateway's lifetime (heat EWMAs carry across cycles), driven
-        # either by explicit rebalance() calls or automatically every
-        # config.rebalance.cadence_flushes front-door flushes.
+        # gateway's lifetime (heat EWMAs carry across cycles), driven by
+        # explicit rebalance() calls and, when config.rebalance is set,
+        # after every front-door flush.
         self._rebalance_policy = (
             None
             if self.config.rebalance is None
             else RebalancePolicy(self.config.rebalance)
         )
-        self._flushes_since_rebalance = 0
         self._last_rebalance = None
         # Governance plane: the policy engine compiles DataPolicy rules
         # into per-request plan constraints; the audit log chains every
@@ -181,26 +179,6 @@ class FederationGateway:
             else DurabilityManager(self, self.config.durability)
         )
         self._wire_durability()
-        # Background rebalance ticker (ROADMAP 2a): without it an idle
-        # gateway never rebalances, because cycles ride the front-door
-        # flush cadence.  Clean shutdown slots into close()'s ordering —
-        # the ticker stops after the door's final flush, before the
-        # serving layer dies.
-        self._rebalance_stop = threading.Event()
-        self._rebalance_thread: threading.Thread | None = None
-        cadence = (
-            None
-            if self.config.rebalance is None
-            else self.config.rebalance.cadence_seconds
-        )
-        if cadence is not None and hasattr(self.engine.serving, "rebalance"):
-            self._rebalance_thread = threading.Thread(
-                target=self._rebalance_ticker,
-                args=(cadence,),
-                name="gateway-rebalance-ticker",
-                daemon=True,
-            )
-            self._rebalance_thread.start()
 
     def _wire_durability(self) -> None:
         """Point the event sources at the journal: audit appends, model
@@ -901,7 +879,7 @@ class FederationGateway:
     def _flushed(self, batch: IngestBatch) -> None:
         """Front-door hook, once per finished flush (tickets resolved,
         flush flag released): one audit record per non-empty flush, then
-        the rebalance cadence tick (so a cycle's record follows the flush
+        the flush's rebalance cycle (so a cycle's record follows the flush
         that triggered it), then the journal sync — under
         ``fsync="batch"`` a flush's records reach stable storage here,
         once per batch, with the flush-audit and rebalance records."""
@@ -961,11 +939,6 @@ class FederationGateway:
             ingest=self.ingest_stats(),
         )
 
-    @property
-    def engine_cache_stats(self) -> CacheStats | None:
-        """Estimation-engine cache counters, when the backend has one."""
-        return self.serving_stats.engine_cache
-
     # Elastic topology -----------------------------------------------------
 
     def topology_report(self) -> TopologyReport:
@@ -1019,37 +992,17 @@ class FederationGateway:
         self._last_rebalance = self.engine.serving.rebalance(policy)
         self._audit_note("rebalance", detail=self._last_rebalance.describe())
 
-    def _rebalance_ticker(self, cadence: float) -> None:
-        """Daemon control loop: one policy cycle every
-        ``cadence_seconds`` of wall time, flush traffic or not (ROADMAP
-        2a — an idle gateway must still shed a hot shard).  Exits when
-        close() sets the stop event; a cycle racing shutdown surfaces as
-        ShardedServingError and ends the loop the same way."""
-        policy = self._rebalance_policy
-        while not self._rebalance_stop.wait(cadence):
-            with self._lock:
-                if self._closed:
-                    return
-            try:
-                self._rebalance_cycle(policy)
-            except ShardedServingError:
-                return
-
     def _auto_rebalance(self) -> None:
-        """Front-door hook: one policy cycle every ``cadence_flushes``
-        flushes, when a rebalance config is present (no-op otherwise)."""
-        policy = self._rebalance_policy
-        if policy is None or not hasattr(self.engine.serving, "rebalance"):
+        """Front-door hook: one policy cycle after every flush, when the
+        gateway was configured with ``rebalance=`` (no-op otherwise — a
+        manual :meth:`rebalance` call does not switch it on)."""
+        if self.config.rebalance is None:
             return
         with self._lock:
             if self._closed:
                 return
-            self._flushes_since_rebalance += 1
-            if self._flushes_since_rebalance < policy.config.cadence_flushes:
-                return
-            self._flushes_since_rebalance = 0
         try:
-            self._rebalance_cycle(policy)
+            self._rebalance_cycle(self._rebalance_policy)
         except ShardedServingError:
             # close() raced the cycle; the final flush already ran, so
             # losing one advisory rebalance is harmless.
@@ -1079,13 +1032,6 @@ class FederationGateway:
                 door = self._front_door
             if door is not None:
                 door.close()
-            # The ticker stops after the door's final flush (so that
-            # flush still rebalances if it crossed the cadence) and
-            # before the serving layer dies under a mid-cycle move.
-            self._rebalance_stop.set()
-            if self._rebalance_thread is not None:
-                self._rebalance_thread.join(timeout=5.0)
-                self._rebalance_thread = None
             self.engine.serving.close()
             if self._durability is not None:
                 # Last: every event the shutdown emitted (final flush

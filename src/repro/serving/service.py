@@ -138,7 +138,7 @@ class BaseEstimationService(ABC):
 
     Subclasses implement :meth:`_fit_states` (fit a group of locked,
     stale templates), plus the :meth:`_on_register` /
-    :meth:`_engine_cache_stats` / :meth:`close` hooks.
+    :meth:`_engine_cache_counters` / :meth:`close` hooks.
     """
 
     def __init__(self):
@@ -174,7 +174,7 @@ class BaseEstimationService(ABC):
     def _on_register(self, state: _Template) -> None:
         """Wire a freshly registered template into the backend."""
 
-    def _engine_cache_stats(self) -> CacheStats | None:
+    def _engine_cache_counters(self) -> CacheStats | None:
         return None
 
     def _ensure_open(self) -> None:
@@ -387,7 +387,7 @@ class BaseEstimationService(ABC):
 
     @property
     def stats(self) -> ServiceStats:
-        engine_cache = self._engine_cache_stats()
+        engine_cache = self._engine_cache_counters()
         with self._stats_lock:
             return ServiceStats(
                 templates=len(self._templates),
@@ -446,7 +446,7 @@ class EstimationService(BaseEstimationService):
                 fitted = error
             yield state, fitted, time.perf_counter() - started
 
-    def _engine_cache_stats(self) -> CacheStats | None:
+    def _engine_cache_counters(self) -> CacheStats | None:
         engine_cache = getattr(self.strategy, "engine_cache", None)
         return None if engine_cache is None else engine_cache.stats
 

@@ -42,9 +42,8 @@ one-item ``fit_many``), one parent thread per busy shard:
   replica desync, a hung RPC) surface as
   :class:`ShardedServingError` and are never silently swallowed by a
   group refresh, unlike a plain "history still too short" skip.
-* **Load accounting + rebalancing.**  Each shard tracks a fit
-  wall-time EWMA, an RPC queue depth (threads waiting on the shard
-  lock) and its pending-row backlog; each template's heat comes from
+* **Load accounting + rebalancing.**  Each shard reports its routed
+  templates and pending-row backlog; each template's heat comes from
   its own worker-measured fit seconds; :meth:`shard_loads` /
   :meth:`template_loads` publish the snapshots a
   :class:`~repro.serving.topology.RebalancePolicy` turns into
@@ -72,7 +71,6 @@ import os
 import threading
 import time
 import zlib
-from contextlib import contextmanager
 from typing import Callable, Iterator
 
 from repro.common.errors import EstimationError, ValidationError
@@ -80,7 +78,6 @@ from repro.core.cache import CacheStats
 from repro.ires.modelling import EstimationStrategy, Modelling
 from repro.serving.service import BaseEstimationService, FitOutcome, _Template
 from repro.serving.topology import (
-    LOAD_EWMA_ALPHA,
     RebalanceOutcome,
     RebalancePolicy,
     ShardLoad,
@@ -126,13 +123,9 @@ class _Shard:
     """One worker process plus its pipe; ``lock`` serialises the shard's
     RPC traffic (one in-flight request per worker).  A template's
     ``synced`` replica cursor is read and written only under its
-    shard's lock.  ``fit_ewma`` and ``waiters`` are the shard's load
-    accounting (guarded by the service's ``_stats_lock``): the EWMA of
-    one fit RPC's parent-observed wall time per template, and how many
-    threads currently wait for (or hold) the shard lock on a fit path —
-    the RPC queue depth."""
+    shard's lock."""
 
-    __slots__ = ("index", "process", "conn", "lock", "keys", "fit_ewma", "waiters")
+    __slots__ = ("index", "process", "conn", "lock", "keys")
 
     def __init__(self, index: int):
         self.index = index
@@ -140,8 +133,6 @@ class _Shard:
         self.conn = None
         self.lock = threading.RLock()
         self.keys: set[str] = set()
-        self.fit_ewma: float | None = None
-        self.waiters = 0
 
 
 class ShardedEstimationService(BaseEstimationService):
@@ -351,7 +342,6 @@ class ShardedEstimationService(BaseEstimationService):
         message.setdefault("v", PROTOCOL_VERSION)
         with self._stats_lock:
             self._rpc_ops[message["op"]] = self._rpc_ops.get(message["op"], 0) + 1
-        started = time.perf_counter()
         try:
             shard.conn.send(message)
         except (BrokenPipeError, OSError, ValueError) as error:
@@ -380,18 +370,6 @@ class ShardedEstimationService(BaseEstimationService):
                     f"shard {shard.index} worker hung past "
                     f"rpc_timeout={self.rpc_timeout}s on {message['op']!r}"
                 )
-        if message["op"] == "fit_many":
-            # Per-template fit cost EWMA, parent-observed (RPC included):
-            # the wall-time half of the shard's load accounting.
-            sample = (time.perf_counter() - started) / len(message["items"])
-            with self._stats_lock:
-                if shard.fit_ewma is None:
-                    shard.fit_ewma = sample
-                else:
-                    shard.fit_ewma = (
-                        LOAD_EWMA_ALPHA * sample
-                        + (1.0 - LOAD_EWMA_ALPHA) * shard.fit_ewma
-                    )
         if reply["ok"]:
             return reply["value"]
         raise self._reply_error(shard, reply)
@@ -461,18 +439,6 @@ class ShardedEstimationService(BaseEstimationService):
 
     # Fitting ------------------------------------------------------------
 
-    @contextmanager
-    def _queue_slot(self, shard: _Shard):
-        """Count this thread toward the shard's RPC queue depth while it
-        waits for (and holds) the shard lock on a fit path."""
-        with self._stats_lock:
-            shard.waiters += 1
-        try:
-            yield
-        finally:
-            with self._stats_lock:
-                shard.waiters -= 1
-
     def _fit_states(self, states: list[_Template]) -> Iterator[FitOutcome]:
         """One ``fit_many`` RPC per busy shard, one parent thread per
         busy shard: the caller's thread takes the first, a helper thread
@@ -531,7 +497,7 @@ class ShardedEstimationService(BaseEstimationService):
         returned, not raised, so the other shards' fits still land."""
         shard = self._shards[index]
         try:
-            with self._queue_slot(shard), shard.lock:
+            with shard.lock:
                 try:
                     replies = self._fit_many_locked(shard, states)
                 except WorkerCrashError:
@@ -695,34 +661,21 @@ class ShardedEstimationService(BaseEstimationService):
 
         Serialised by the topology lock (one control cycle at a time);
         the data plane keeps serving throughout — each applied move
-        holds only its own template's lock.
+        holds only its own template's lock.  The planner's ``max_moves``
+        is the one bound on migrations per cycle.
         """
         self._ensure_open()
         with self._topology_lock:
             shards, templates = self._load_rows()
             plan = policy.plan(shards, templates)
-            grew = None
-            if plan.grow_to is not None and plan.grow_to > self.workers:
-                grew = self.resize(plan.grow_to)
-            # Apply-time migration throttle: moves beyond the cap are
-            # deferred (the policy's heat state re-plans them next
-            # cycle), bounding replay churn per cycle.
-            cap = policy.config.max_migrations_per_cycle
-            moves = plan.moves if cap is None else plan.moves[:cap]
             applied = []
-            for move in moves:
+            for move in plan.moves:
                 if 0 <= move.dst < self.workers and self.migrate(move.key, move.dst):
                     applied.append(move)
-            shrank = None
-            if plan.shrink_to is not None and plan.shrink_to < self.workers:
-                shrank = self.resize(plan.shrink_to)
             return RebalanceOutcome(
                 moves=tuple(applied),
-                grew_to=grew,
-                shrank_to=shrank,
                 route_version=self.route_version,
                 reason=plan.reason,
-                migration_cap=cap,
             )
 
     def route_table(self) -> dict[str, int]:
@@ -754,32 +707,29 @@ class ShardedEstimationService(BaseEstimationService):
         template_rows: list[TemplateLoad] = []
         for shard in tuple(self._shards):
             with shard.lock:
-                entries = []
-                for key in sorted(shard.keys):
-                    state = self._templates.get(key)
-                    if state is None:
-                        continue
-                    entries.append((state, state.history.size - state.synced))
-            with self._stats_lock:
-                shard_rows.append(
-                    ShardLoad(
-                        index=shard.index,
-                        routed=tuple(state.key for state, _ in entries),
-                        backlog=sum(backlog for _, backlog in entries),
-                        queue_depth=shard.waiters,
-                        fit_seconds_ewma=shard.fit_ewma,
-                    )
+                states = [
+                    self._templates[key]
+                    for key in sorted(shard.keys)
+                    if key in self._templates
+                ]
+                backlog = sum(state.history.size - state.synced for state in states)
+            shard_rows.append(
+                ShardLoad(
+                    index=shard.index,
+                    routed=tuple(state.key for state in states),
+                    backlog=backlog,
                 )
-                for state, backlog in entries:
-                    template_rows.append(
-                        TemplateLoad(
-                            key=state.key,
-                            shard=shard.index,
-                            fits=state.fits,
-                            fit_seconds_ewma=state.fit_seconds_ewma,
-                            backlog=backlog,
-                        )
+            )
+            with self._stats_lock:
+                template_rows.extend(
+                    TemplateLoad(
+                        key=state.key,
+                        shard=shard.index,
+                        fits=state.fits,
+                        fit_seconds_ewma=state.fit_seconds_ewma,
                     )
+                    for state in states
+                )
         return shard_rows, template_rows
 
     def shard_loads(self) -> list[ShardLoad]:
@@ -815,12 +765,9 @@ class ShardedEstimationService(BaseEstimationService):
 
     def shard_stats(self) -> list[dict]:
         """Per-shard worker counters (pid, replica count, fits, cache),
-        plus the parent-side load accounting: ``backlog`` (rows appended
-        to the shard's templates since their last fit), ``routed`` (how
-        many templates the routing table currently places here),
-        ``queue_depth`` (threads waiting on this shard's RPC lane) and
-        ``fit_ewma_ms`` (EWMA of one fit's parent-observed wall time) —
-        the signals the flush watermarks and the rebalance policy read.
+        plus two parent-side fields: ``backlog`` (rows appended to the
+        shard's templates since their last fit) and ``routed`` (how many
+        templates the routing table currently places here).
 
         Strictly read-only: a dead or unreachable worker reports the
         placeholder row instead of being respawned here — healing
@@ -842,17 +789,12 @@ class ShardedEstimationService(BaseEstimationService):
                     row = dict(self._call_locked(shard, {"op": "stats"}))
                 except (EstimationError, ValidationError):
                     row = dict(self._DEAD_SHARD_STATS)
-            with self._stats_lock:
-                row["backlog"] = backlog
-                row["routed"] = routed
-                row["queue_depth"] = shard.waiters
-                row["fit_ewma_ms"] = (
-                    None if shard.fit_ewma is None else shard.fit_ewma * 1000.0
-                )
+            row["backlog"] = backlog
+            row["routed"] = routed
             out.append(row)
         return out
 
-    def _engine_cache_stats(self) -> CacheStats | None:
+    def _engine_cache_counters(self) -> CacheStats | None:
         """Engine-cache counters summed across the shard workers."""
         caches = [
             shard_stat["engine_cache"]

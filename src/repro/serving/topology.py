@@ -12,21 +12,20 @@ This module supplies the control-loop side of that story:
 * :class:`ShardLoad` / :class:`TemplateLoad` — read-only load accounting
   snapshots published by
   :meth:`~repro.serving.sharded.ShardedEstimationService.shard_loads`
-  and ``template_loads`` (fit wall-time EWMA, RPC queue depth,
-  pending-row backlog);
-* :class:`RebalanceConfig` — the policy knobs (hysteresis factors, move
-  budget, pool bounds), validated eagerly;
+  and ``template_loads`` (routed templates, pending-row backlog,
+  per-template fit counts and fit wall-time EWMAs);
+* :class:`RebalanceConfig` — the policy knobs (hysteresis factors and
+  the per-cycle move budget), validated eagerly;
 * :class:`RebalancePolicy` — a *stateful* greedy controller: per cycle
   it turns fit-count deltas x fit-cost EWMAs into template heat, then
-  plans hottest-template-to-coldest-shard moves under hysteresis, pool
-  growth under backlog pressure, and pool shrink when trailing shards
-  go idle;
+  plans hottest-template-to-coldest-shard moves under hysteresis;
 * :class:`Migration` / :class:`RebalancePlan` / :class:`RebalanceOutcome`
   — the typed decisions and their applied result.
 
 The policy only *plans*; the sharded service applies plans through its
 own ``migrate``/``resize`` primitives, which hold the per-template and
-shard locks that make a mid-burst move bitwise invisible.  Placement is
+shard locks that make a mid-burst move bitwise invisible.  Pool width
+is an explicit decision (``resize``), never the policy's.  Placement is
 a pure performance degree of freedom — ``tests/chaos.py`` proves that
 any interleaving of moves, crashes, and resizes leaves every prediction
 identical to the single-process oracle.
@@ -34,13 +33,17 @@ identical to the single-process oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.common.errors import ValidationError
 
-#: Smoothing factor for the *intra-service* fit wall-time EWMAs (per
-#: shard and per template): ``ewma = ALPHA * sample + (1-ALPHA) * ewma``.
+#: Weight of the newest sample in each template's fit wall-time EWMA:
+#: ``ewma = ALPHA * sample + (1-ALPHA) * ewma``.
 LOAD_EWMA_ALPHA = 0.25
+
+#: Weight of the current cycle in the policy's cross-cycle heat EWMA
+#: (``1.0`` would trust only the current cycle).
+HEAT_EWMA_ALPHA = 0.5
 
 #: Heat assigned to a template that has fitted this cycle but has no
 #: wall-time sample yet (seconds) — keeps "fitted at least once" strictly
@@ -59,8 +62,6 @@ class TemplateLoad:
     #: EWMA of one fit's wall time (seconds; measured by the shard
     #: worker on the sharded backend); ``None`` until the first fit.
     fit_seconds_ewma: float | None
-    #: Rows appended but not yet shipped to the shard worker.
-    backlog: int
 
 
 @dataclass(frozen=True)
@@ -70,14 +71,9 @@ class ShardLoad:
     index: int
     #: Templates currently routed to this shard (sorted).
     routed: tuple[str, ...]
-    #: Pending rows summed over the routed templates.
+    #: Pending rows summed over the routed templates (reported, not
+    #: planned on).
     backlog: int
-    #: Threads currently waiting for (or holding) this shard's lock on a
-    #: fit path — the RPC queue depth.
-    queue_depth: int
-    #: EWMA of one fit RPC's parent-observed wall time per template
-    #: (seconds); ``None`` until the first fit lands on this shard.
-    fit_seconds_ewma: float | None
 
 
 @dataclass(frozen=True)
@@ -97,13 +93,11 @@ class RebalancePlan:
     """What one policy cycle decided (not yet applied)."""
 
     moves: tuple[Migration, ...] = ()
-    grow_to: int | None = None
-    shrink_to: int | None = None
     reason: str = "balanced"
 
     @property
     def is_noop(self) -> bool:
-        return not self.moves and self.grow_to is None and self.shrink_to is None
+        return not self.moves
 
 
 @dataclass(frozen=True)
@@ -112,29 +106,12 @@ class RebalanceOutcome:
     :meth:`~repro.serving.sharded.ShardedEstimationService.rebalance`."""
 
     moves: tuple[Migration, ...]
-    grew_to: int | None
-    shrank_to: int | None
     route_version: int
     reason: str
-    #: The ``max_migrations_per_cycle`` throttle in force when the cycle
-    #: ran (``None`` = unthrottled); planned moves beyond the cap were
-    #: deferred to later cycles, not dropped from the policy's heat state.
-    migration_cap: int | None = None
 
     def describe(self) -> str:
-        parts = []
-        if self.grew_to is not None:
-            parts.append(f"grew pool to {self.grew_to}")
-        for move in self.moves:
-            parts.append(move.describe())
-        if self.shrank_to is not None:
-            parts.append(f"shrank pool to {self.shrank_to}")
-        if not parts:
-            parts.append("no-op")
-        text = f"[route v{self.route_version}] " + "; ".join(parts)
-        if self.migration_cap is not None:
-            text += f" [cap {self.migration_cap}]"
-        return text + f" ({self.reason})"
+        parts = "; ".join(move.describe() for move in self.moves) or "no-op"
+        return f"[route v{self.route_version}] {parts} ({self.reason})"
 
 
 @dataclass(frozen=True)
@@ -151,48 +128,11 @@ class RebalanceConfig:
     max_moves:
         Migration budget per control cycle (each move replays a full
         history over the pipe RPC — bounded churn per cycle).
-    min_workers / max_workers:
-        Pool-size bounds for autoscaling.  ``max_workers=None`` disables
-        growth; shrink never goes below ``min_workers``.
-    grow_backlog:
-        Pool-growth trigger: grow by one worker when any shard's
-        pending-row backlog exceeds this (``None`` disables growth even
-        if ``max_workers`` allows it).  Backlog is the one absolute
-        pressure signal — heat hysteresis is relative and cannot say
-        "every shard is overloaded".
-    backlog_weight:
-        Seconds of synthetic heat per pending row, folded into template
-        heat so persistent backlog attracts moves even between fit
-        rounds.  ``0.0`` (default) ranks purely by measured fit cost.
-    smoothing:
-        Cross-cycle EWMA factor on template heat (``1.0`` = trust only
-        the current cycle).
-    cadence_flushes:
-        For the gateway's automatic control loop: run one policy cycle
-        every N front-door flushes.
-    cadence_seconds:
-        For the gateway's *background* control loop: a daemon ticker
-        runs one policy cycle every this many seconds, so an idle
-        gateway (no front-door traffic) still rebalances.  ``None``
-        (default) disables the ticker; flush-driven cycles still run.
-    max_migrations_per_cycle:
-        Hard cap on migrations *applied* per control cycle, enforced at
-        apply time on top of the planner's ``max_moves`` budget (``0``
-        plans but applies nothing; ``None`` = unthrottled).  The cap in
-        force is recorded on ``RebalanceOutcome.migration_cap``.
     """
 
     hot_factor: float = 1.25
     cold_factor: float = 0.75
     max_moves: int = 1
-    min_workers: int = 1
-    max_workers: int | None = None
-    grow_backlog: int | None = None
-    backlog_weight: float = 0.0
-    smoothing: float = 0.5
-    cadence_flushes: int = 1
-    cadence_seconds: float | None = None
-    max_migrations_per_cycle: int | None = None
 
     def __post_init__(self):
         if not self.hot_factor >= 1.0:
@@ -205,43 +145,6 @@ class RebalanceConfig:
             )
         if self.max_moves < 0:
             raise ValidationError(f"max_moves must be >= 0, got {self.max_moves}")
-        if self.min_workers < 1:
-            raise ValidationError(
-                f"min_workers must be >= 1, got {self.min_workers}"
-            )
-        if self.max_workers is not None and self.max_workers < self.min_workers:
-            raise ValidationError(
-                f"max_workers ({self.max_workers}) must be >= "
-                f"min_workers ({self.min_workers})"
-            )
-        if self.grow_backlog is not None and self.grow_backlog < 1:
-            raise ValidationError(
-                f"grow_backlog must be >= 1 (or None), got {self.grow_backlog}"
-            )
-        if self.backlog_weight < 0.0:
-            raise ValidationError(
-                f"backlog_weight must be >= 0, got {self.backlog_weight}"
-            )
-        if not 0.0 < self.smoothing <= 1.0:
-            raise ValidationError(
-                f"smoothing must be in (0, 1], got {self.smoothing}"
-            )
-        if self.cadence_flushes < 1:
-            raise ValidationError(
-                f"cadence_flushes must be >= 1, got {self.cadence_flushes}"
-            )
-        if self.cadence_seconds is not None and not self.cadence_seconds > 0:
-            raise ValidationError(
-                f"cadence_seconds must be > 0 (or None), got {self.cadence_seconds}"
-            )
-        if (
-            self.max_migrations_per_cycle is not None
-            and self.max_migrations_per_cycle < 0
-        ):
-            raise ValidationError(
-                "max_migrations_per_cycle must be >= 0 (or None), got "
-                f"{self.max_migrations_per_cycle}"
-            )
 
 
 class RebalancePolicy:
@@ -249,11 +152,11 @@ class RebalancePolicy:
 
     Stateful across cycles: template heat is the cross-cycle EWMA of
     *this cycle's* fit work (fit-count delta times the template's fit
-    wall-time EWMA, plus optional backlog weight), so a template that
-    was hot last week but idle now cools off instead of pinning the
-    topology.  ``plan`` is pure (no service access, no clock) — it maps
-    load snapshots to a :class:`RebalancePlan`, which makes every policy
-    decision unit-testable without processes.
+    wall-time EWMA), so a template that was hot last week but idle now
+    cools off instead of pinning the topology.  ``plan`` is pure (no
+    service access, no clock) — it maps load snapshots to a
+    :class:`RebalancePlan`, which makes every policy decision
+    unit-testable without processes.
     """
 
     def __init__(self, config: RebalanceConfig | None = None):
@@ -264,7 +167,6 @@ class RebalancePolicy:
 
     def _observe(self, templates: list[TemplateLoad]) -> dict[str, float]:
         """Fold this cycle's load snapshot into the heat EWMAs."""
-        config = self.config
         seen = set()
         for load in templates:
             seen.add(load.key)
@@ -273,14 +175,13 @@ class RebalancePolicy:
             per_fit = load.fit_seconds_ewma
             if per_fit is None or per_fit <= 0.0:
                 per_fit = _MIN_FIT_COST
-            cycle_heat = delta * per_fit + config.backlog_weight * load.backlog
+            cycle_heat = delta * per_fit
             previous = self._heat.get(load.key)
             if previous is None:
                 self._heat[load.key] = cycle_heat
             else:
                 self._heat[load.key] = (
-                    config.smoothing * cycle_heat
-                    + (1.0 - config.smoothing) * previous
+                    HEAT_EWMA_ALPHA * cycle_heat + (1.0 - HEAT_EWMA_ALPHA) * previous
                 )
         for key in list(self._heat):
             if key not in seen:
@@ -306,21 +207,6 @@ class RebalancePolicy:
             shard.index: sum(heat.get(key, 0.0) for key in shard.routed)
             for shard in shards
         }
-        backlog = {shard.index: shard.backlog for shard in shards}
-
-        grow_to: int | None = None
-        if (
-            config.grow_backlog is not None
-            and config.max_workers is not None
-            and workers < config.max_workers
-            and max(backlog.values()) > config.grow_backlog
-        ):
-            grow_to = workers + 1
-            # The new shard joins the candidate set cold and empty, so
-            # the greedy pass below can immediately move work onto it.
-            routed[workers] = []
-            load[workers] = 0.0
-            workers = grow_to
 
         moves: list[Migration] = []
         reasons: list[str] = []
@@ -362,27 +248,12 @@ class RebalancePolicy:
             load[dst] += heat[key]
             reasons.append(f"heat {heat[key]:.2e}s {key}: {src}->{dst}")
 
-        shrink_to: int | None = None
-        if grow_to is None and not moves and workers > config.min_workers:
-            # Drop trailing shards that host nothing — the cautious
-            # shrink: no migration traffic, just fewer idle processes.
-            keep = workers
-            while keep > config.min_workers and not routed[keep - 1]:
-                keep -= 1
-            if keep < workers:
-                shrink_to = keep
-
-        if grow_to is not None:
-            reasons.insert(0, f"backlog {max(backlog.values())} > {config.grow_backlog}")
-        if shrink_to is not None:
-            reasons.append(f"trailing shards {shrink_to}..{workers - 1} idle")
         reason = "; ".join(reasons) if reasons else "balanced"
-        return RebalancePlan(
-            moves=tuple(moves), grow_to=grow_to, shrink_to=shrink_to, reason=reason
-        )
+        return RebalancePlan(moves=tuple(moves), reason=reason)
 
 
 __all__ = [
+    "HEAT_EWMA_ALPHA",
     "LOAD_EWMA_ALPHA",
     "Migration",
     "RebalanceConfig",

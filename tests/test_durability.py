@@ -1,27 +1,21 @@
-"""Durable federation state (ISSUE 9): WAL framing, crash recovery,
-fault injection, audit persistence, and the topology-control satellites.
+"""Durable federation state: WAL framing, crash recovery, fault
+injection and audit persistence.
 
 Layered like the subsystem itself:
 
 * WAL primitives — record framing round-trips, the torn-tail /
   corruption dichotomy, atomic checkpoints;
-* config validation — every durability and topology knob fails eagerly;
+* config validation — every durability knob fails eagerly;
 * recovery — kill-at-offset restart equivalence on both serving
   backends (via the :mod:`tests.chaos` driver), torn tails truncated,
   bit rot refused with a typed :class:`DurabilityError`, traffic
   refused until ``recover()``;
 * audit persistence — export / offline verification / tamper detection
-  (ROADMAP 4c), chain survival across recovery;
-* satellites — the background rebalance ticker (ROADMAP 2a) and the
-  apply-time migration throttle (ROADMAP 2b).
+  (ROADMAP 4c), chain survival across recovery.
 """
-
-import threading
-import time
 
 import pytest
 
-from repro.common.errors import ValidationError
 from repro.core import wal
 from repro.core.wal import WalCorruptionError
 from repro.federation import (
@@ -30,25 +24,16 @@ from repro.federation import (
     FederationConfig,
     GatewayConfigError,
     ObserveRequest,
-    RebalanceConfig,
 )
 from repro.governance import GovernanceConfig, verify_chain, verify_chain_file
 from repro.midas import MidasSystem
-from repro.serving import ShardedEstimationService
-from repro.serving.topology import Migration, RebalancePlan
 from tests.chaos import (
     inject_bit_flip,
     inject_torn_tail,
     run_recovery_chaos,
     shear_final_record,
 )
-from tests.helpers import (
-    FEATURES,
-    METRICS,
-    gateway_config,
-    observation_stream,
-    sharded_factory,
-)
+from tests.helpers import gateway_config
 
 #: Enough observes to fit, a submit, cross-tenant traffic, another
 #: submit — exercises rows, ticks, rotations and refits in one script.
@@ -193,15 +178,6 @@ class TestDurabilityConfigValidation:
     def test_federation_config_type_checks_durability(self):
         with pytest.raises(GatewayConfigError, match="DurabilityConfig"):
             FederationConfig(durability={"dir": "/tmp/x"})
-
-    def test_rebalance_cadence_seconds_validated(self):
-        with pytest.raises(ValidationError, match="cadence_seconds"):
-            RebalanceConfig(cadence_seconds=0.0)
-
-    def test_migration_throttle_validated(self):
-        with pytest.raises(ValidationError, match="max_migrations_per_cycle"):
-            RebalanceConfig(max_migrations_per_cycle=-1)
-        assert RebalanceConfig(max_migrations_per_cycle=0).max_migrations_per_cycle == 0
 
 
 # ---------------------------------------------------------------------------
@@ -440,95 +416,3 @@ class TestAuditPersistence:
             assert verify_chain(log.records())
         finally:
             revived.gateway.close()
-
-
-# ---------------------------------------------------------------------------
-# Satellites: background rebalance ticker + migration throttle
-
-
-class _ScriptedPolicy:
-    """A policy stub returning a fixed plan — isolates apply-time
-    behaviour (the throttle) from planning heuristics."""
-
-    def __init__(self, config, plan):
-        self.config = config
-        self._plan = plan
-
-    def plan(self, shards, templates):
-        return self._plan
-
-
-class TestTopologySatellites:
-    def _skewed_service(self):
-        service = ShardedEstimationService(sharded_factory, workers=2)
-        for key in ("tenant-a", "tenant-b"):
-            service.register(key, feature_names=FEATURES, metrics=METRICS)
-            for tick, features, costs in observation_stream(key, 24):
-                service.record(key, tick, features, costs)
-        return service
-
-    def test_migration_throttle_zero_applies_no_moves(self):
-        plan = RebalancePlan(
-            moves=(Migration(key="tenant-a", src=0, dst=1),), reason="scripted"
-        )
-        with self._skewed_service() as service:
-            before = service.route_table()
-            outcome = service.rebalance(
-                _ScriptedPolicy(RebalanceConfig(max_migrations_per_cycle=0), plan)
-            )
-            assert outcome.moves == ()
-            assert outcome.migration_cap == 0
-            assert service.route_table() == before
-
-    def test_migration_throttle_caps_applied_moves(self):
-        with self._skewed_service() as service:
-            routes = service.route_table()
-            moves = tuple(
-                Migration(key=key, src=shard, dst=1 - shard)
-                for key, shard in sorted(routes.items())
-            )
-            plan = RebalancePlan(moves=moves, reason="scripted")
-            outcome = service.rebalance(
-                _ScriptedPolicy(RebalanceConfig(max_migrations_per_cycle=1), plan)
-            )
-            assert len(outcome.moves) == 1
-            assert outcome.migration_cap == 1
-            # Unthrottled: the same plan applies every move.
-            outcome = service.rebalance(
-                _ScriptedPolicy(RebalanceConfig(), plan)
-            )
-            assert outcome.migration_cap is None
-
-    def test_background_ticker_rebalances_idle_gateway(self, tmp_path):
-        config = gateway_config(
-            "sharded",
-            rebalance=RebalanceConfig(
-                cadence_seconds=0.05, cadence_flushes=10_000
-            ),
-        )
-        midas = MidasSystem(patient_count=250, seed=89, config=config)
-        gateway = midas.gateway
-        try:
-            assert gateway._rebalance_thread is not None
-            assert gateway._rebalance_thread.daemon
-            drive_observes(gateway, 3)
-            # No front-door flush ever fires (cadence_flushes is huge):
-            # only the wall-clock ticker can run control cycles.
-            deadline = time.monotonic() + 5.0
-            while gateway._last_rebalance is None and time.monotonic() < deadline:
-                time.sleep(0.02)
-            assert gateway._last_rebalance is not None
-            ticker = gateway._rebalance_thread
-        finally:
-            gateway.close()
-        ticker.join(timeout=5.0)
-        assert not ticker.is_alive()
-        assert gateway._rebalance_thread is None
-
-    def test_no_ticker_without_cadence_seconds(self):
-        config = gateway_config("sharded", rebalance=RebalanceConfig())
-        midas = MidasSystem(patient_count=250, seed=97, config=config)
-        try:
-            assert midas.gateway._rebalance_thread is None
-        finally:
-            midas.gateway.close()

@@ -84,14 +84,12 @@ def make_topology_report() -> TopologyReport:
         migrations=2,
         respawns=1,
         shards=(
-            ShardLoad(0, ("q1", "q2"), 5, 1, 0.0125),
-            ShardLoad(1, ("q3",), 0, 0, None),
-            ShardLoad(2, (), 0, 2, 0.5),
+            ShardLoad(0, ("q1", "q2"), 5),
+            ShardLoad(1, ("q3",), 0),
+            ShardLoad(2, (), 0),
         ),
         last_cycle=RebalanceOutcome(
             moves=(Migration("q2", 0, 2), Migration("q3", 1, 0)),
-            grew_to=3,
-            shrank_to=None,
             route_version=7,
             reason="hot shard 0",
         ),

@@ -410,7 +410,6 @@ class TestLoadAccounting:
             row = sharded.shard_stats()[0]
             assert row["backlog"] == 13  # 12 + 1 rows not yet shipped
             assert row["routed"] == 2
-            assert row["queue_depth"] == 0  # nothing mid-RPC right now
             before = sharded.rpc_counts()
             result = sharded.refresh_batch()
             after = sharded.rpc_counts()
@@ -426,7 +425,6 @@ class TestLoadAccounting:
             # in sync), so the backlog fully drains.
             row = sharded.shard_stats()[0]
             assert row["backlog"] == 0
-            assert row["fit_ewma_ms"] is not None and row["fit_ewma_ms"] > 0.0
             # One more observation -> backlog is exactly that one row.
             tick, features, costs = observation_stream("short", 2)[-1]
             sharded.record("short", tick + 1, features, costs)
@@ -690,37 +688,6 @@ class TestElasticTopology:
                     == reference.model(key).training_size
                 )
 
-    def test_rebalance_grows_the_pool_under_backlog_pressure(self):
-        from repro.serving import RebalanceConfig, RebalancePolicy
-
-        with ShardedEstimationService(factory, workers=1) as sharded:
-            sharded.register("q1", feature_names=FEATURES, metrics=METRICS)
-            feed(sharded, "q1", 12)  # 12 pending rows, never fitted
-            policy = RebalancePolicy(
-                RebalanceConfig(grow_backlog=8, max_workers=2)
-            )
-            outcome = sharded.rebalance(policy)
-            assert outcome.grew_to == 2
-            assert sharded.workers == 2
-            assert "backlog" in outcome.reason
-
-    def test_rebalance_shrinks_idle_trailing_shards(self):
-        from repro.serving import RebalanceConfig, RebalancePolicy
-
-        with ShardedEstimationService(factory, workers=3) as sharded:
-            key = next(
-                key for key in (f"q{i}" for i in range(64))
-                if shard_of(key, 3) == 0
-            )
-            sharded.register(key, feature_names=FEATURES, metrics=METRICS)
-            feed(sharded, key, 12)
-            sharded.model(key)
-            policy = RebalancePolicy(RebalanceConfig(min_workers=1))
-            outcome = sharded.rebalance(policy)
-            assert outcome.shrank_to == 1
-            assert sharded.workers == 1
-            assert sharded.model(key) is not None
-
 
 class TestRebalancePolicyUnit:
     """``RebalancePolicy.plan`` is pure — every decision rule is
@@ -730,21 +697,13 @@ class TestRebalancePolicyUnit:
     def shard_row(index, routed, backlog=0):
         from repro.serving import ShardLoad
 
-        return ShardLoad(
-            index=index,
-            routed=tuple(routed),
-            backlog=backlog,
-            queue_depth=0,
-            fit_seconds_ewma=None,
-        )
+        return ShardLoad(index=index, routed=tuple(routed), backlog=backlog)
 
     @staticmethod
-    def template_row(key, shard, fits=1, ewma=1e-3, backlog=0):
+    def template_row(key, shard, fits=1, ewma=1e-3):
         from repro.serving import TemplateLoad
 
-        return TemplateLoad(
-            key=key, shard=shard, fits=fits, fit_seconds_ewma=ewma, backlog=backlog
-        )
+        return TemplateLoad(key=key, shard=shard, fits=fits, fit_seconds_ewma=ewma)
 
     def test_balanced_pool_is_a_noop(self):
         from repro.serving import RebalancePolicy
@@ -777,10 +736,8 @@ class TestRebalancePolicyUnit:
             [self.shard_row(0, ["a"]), self.shard_row(1, [])],
             [self.template_row("a", 0, fits=100, ewma=5e-2)],
         )
-        # Moving the only template just relocates the hotspot, and the
-        # empty trailing shard is dropped instead.
-        assert not plan.moves
-        assert plan.shrink_to == 1
+        # Moving the only template just relocates the hotspot.
+        assert plan.is_noop
 
     def test_stateful_heat_cools_templates_that_stop_fitting(self):
         from repro.serving import RebalancePolicy
@@ -794,25 +751,63 @@ class TestRebalancePolicyUnit:
         ]
         policy.plan(shards, hot_then_idle)
         # Same snapshot again: zero fit deltas everywhere, heat halves
-        # each cycle (smoothing=0.5) until the plan goes quiet.
+        # each cycle (HEAT_EWMA_ALPHA=0.5) until the plan goes quiet.
         for _ in range(8):
             plan = policy.plan(shards, hot_then_idle)
         assert not plan.moves
         assert policy.cycles == 9
 
+    def test_max_moves_bounds_the_moves_per_cycle(self):
+        """The planner's ``max_moves`` is the only per-cycle migration
+        bound: it binds before the hysteresis band runs out of moves."""
+        from repro.serving import RebalanceConfig, RebalancePolicy
+
+        # Three hot templates on one shard, two cold shards: two moves.
+        policy = RebalancePolicy(RebalanceConfig(max_moves=2))
+        plan = policy.plan(
+            [
+                self.shard_row(0, ["a", "b", "c"]),
+                self.shard_row(1, []),
+                self.shard_row(2, []),
+            ],
+            [
+                self.template_row("a", 0, fits=10, ewma=3e-3),
+                self.template_row("b", 0, fits=10, ewma=2e-3),
+                self.template_row("c", 0, fits=10, ewma=1e-3),
+            ],
+        )
+        assert [move.describe() for move in plan.moves] == [
+            "a: shard 0 -> 1",
+            "b: shard 0 -> 2",
+        ]
+        # Six equally hot templates: an ample budget balances in four
+        # moves, a smaller one stops at exactly its budget.
+        keys = [f"t{i}" for i in range(6)]
+        shards = [self.shard_row(0, keys), self.shard_row(1, []), self.shard_row(2, [])]
+        templates = [self.template_row(key, 0, fits=10) for key in keys]
+        for budget, expected in ((1, 1), (2, 2), (3, 3), (8, 4)):
+            plan = RebalancePolicy(RebalanceConfig(max_moves=budget)).plan(
+                shards, templates
+            )
+            assert len(plan.moves) == expected, plan.reason
+            assert all(move.src == 0 for move in plan.moves)
+
     def test_config_validation_is_eager(self):
+        from dataclasses import fields
+
         from repro.serving import RebalanceConfig
 
+        assert [field.name for field in fields(RebalanceConfig)] == [
+            "hot_factor",
+            "cold_factor",
+            "max_moves",
+        ]
         with pytest.raises(ValidationError, match="hot_factor"):
             RebalanceConfig(hot_factor=0.5)
         with pytest.raises(ValidationError, match="cold_factor"):
             RebalanceConfig(cold_factor=1.5)
-        with pytest.raises(ValidationError, match="max_workers"):
-            RebalanceConfig(min_workers=3, max_workers=2)
-        with pytest.raises(ValidationError, match="smoothing"):
-            RebalanceConfig(smoothing=0.0)
-        with pytest.raises(ValidationError, match="cadence"):
-            RebalanceConfig(cadence_flushes=0)
+        with pytest.raises(ValidationError, match="max_moves"):
+            RebalanceConfig(max_moves=-1)
 
 
 class TestTopologyReportEnvelope:
@@ -867,29 +862,54 @@ class TestTopologyReportEnvelope:
         with pytest.raises(GatewayConfigError, match="RebalanceConfig"):
             FederationConfig(serving_backend="sharded", rebalance={"max_moves": 1})
 
-    def test_auto_rebalance_runs_on_the_flush_cadence(self):
-        from repro.common.rng import RngStream
+    @staticmethod
+    def _observe_and_drain(gateway, rng):
         from repro.federation import ObserveRequest
         from repro.midas import MEDICAL_QUERIES
+
+        key = "medical-demographics"
+        gateway.ingest(ObserveRequest(key, MEDICAL_QUERIES[key].sample_params(rng)))
+        gateway.drain()
+
+    def test_auto_rebalance_runs_on_the_flush_cadence(self):
+        import threading
+
+        from repro.common.rng import RngStream
         from repro.serving import RebalanceConfig
 
-        midas = self._midas(rebalance=RebalanceConfig(cadence_flushes=2))
+        before = set(threading.enumerate())
+        midas = self._midas(rebalance=RebalanceConfig())
         gateway = midas.gateway
         try:
-            rng = RngStream(27, "cadence")
-            key = "medical-demographics"
-
-            def observe():
-                gateway.ingest(
-                    ObserveRequest(key, MEDICAL_QUERIES[key].sample_params(rng))
-                )
-                gateway.drain()
-
-            observe()  # flush 1 of 2: below the cadence, no cycle yet
+            # The control loop rides the flushes; no thread of its own.
+            assert set(threading.enumerate()) <= before
             assert gateway.topology_report().last_cycle is None
-            observe()  # flush 2 of 2: one control cycle runs
-            report = gateway.topology_report()
-            assert report.last_cycle is not None
-            assert report.last_cycle.route_version == report.route_version
+            rng = RngStream(27, "cadence")
+            cycles = []
+            for _ in range(2):
+                # Every flush runs one control cycle of its own.
+                self._observe_and_drain(gateway, rng)
+                report = gateway.topology_report()
+                assert report.last_cycle is not None
+                assert report.last_cycle.route_version == report.route_version
+                cycles.append(report.last_cycle)
+            assert cycles[0] is not cycles[1]
+        finally:
+            gateway.close()
+
+    def test_manual_rebalance_does_not_switch_on_the_flush_hook(self):
+        """A gateway built without ``rebalance=`` keeps static placement
+        on the flush path even after one explicit ``rebalance()``."""
+        from repro.common.rng import RngStream
+
+        midas = self._midas()
+        gateway = midas.gateway
+        try:
+            manual = gateway.rebalance().last_cycle
+            assert manual is not None
+            rng = RngStream(27, "manual")
+            for _ in range(2):
+                self._observe_and_drain(gateway, rng)
+            assert gateway.topology_report().last_cycle is manual
         finally:
             gateway.close()
