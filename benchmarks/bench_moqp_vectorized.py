@@ -11,9 +11,15 @@ evaluate candidates one Python call at a time.
 This benchmark measures, at n ∈ {1,000 / 5,000 / 18,200} points of the
 real Example 3.1 configuration space:
 
-* **exact front** — vectorized sort-assisted `pareto_front_indices` vs
-  the scalar oracle (`tests/moqp_oracles.py`): identical indices required, speedup
-  reported (≥ 10x asserted at the largest n);
+* **exact front** — vectorized `pareto_front_indices` (two objectives:
+  the sort sweep) vs the scalar oracle (`tests/moqp_oracles.py`):
+  identical indices required, speedup reported (≥ 10x asserted at the
+  largest n);
+* **three-objective front** — one row that adds a deterministic energy
+  column to (time, money), so the d ≥ 3 block kernel stays timed and
+  oracle-checked at scale (n = 5,000; 1,000 with ``--quick``; the
+  scalar scan is too slow for 3-D clouds at 18,200): identical indices
+  required;
 * **NSGA generation throughput** — NSGA-II and NSGA-G over a
   matrix-backed `EnumeratedProblem` (one batched evaluation per
   generation) vs the same algorithms driven scalar-per-candidate:
@@ -55,25 +61,44 @@ MEMORY_POOL_GB = 260
 NSGA_CONFIG = dict(population_size=64, generations=40, seed=17)
 
 
-def example31_objectives(n: int | None = None) -> np.ndarray:
-    """Predicted (time, money) for the Example 3.1 configuration space.
-
-    A deterministic cost surface over the real (vcpus, memory) grid:
-    execution time falls with resources (with mild interference ripple so
-    the front is not degenerate), money rises with the paper's per-unit
-    rates.  ``n`` subsamples the space deterministically.
-    """
+def example31_space(n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The (vcpus, memory) columns of the Example 3.1 configuration space;
+    ``n`` subsamples it deterministically."""
     space = np.asarray(
         vm_configuration_space(VCPU_POOL, MEMORY_POOL_GB), dtype=float
     )
     if n is not None and n < space.shape[0]:
         keep = np.linspace(0, space.shape[0] - 1, n).astype(int)
         space = space[keep]
-    vcpus, memory = space[:, 0], space[:, 1]
+    return space[:, 0], space[:, 1]
+
+
+def example31_objectives(n: int | None = None) -> np.ndarray:
+    """Predicted (time, money) for the Example 3.1 configuration space.
+
+    A deterministic cost surface over the real (vcpus, memory) grid:
+    execution time falls with resources (with mild interference ripple so
+    the front is not degenerate), money rises with the paper's per-unit
+    rates.
+    """
+    vcpus, memory = example31_space(n)
     ripple = 0.05 * np.sin(vcpus * 1.7) * np.cos(memory * 0.9)
     time_cost = 180.0 / vcpus + 45.0 / memory + 2.0 + ripple
     money_cost = 0.048 * vcpus + 0.0075 * memory
     return np.column_stack([time_cost, money_cost])
+
+
+def example31_objectives_3d(n: int) -> np.ndarray:
+    """(time, money, energy) over the same subsampled space.
+
+    Energy is time x power draw, with a seeded per-vCPU-count wattage
+    factor so the third axis is not a monotone function of the other two.
+    """
+    vcpus, memory = example31_space(n)
+    time_money = example31_objectives(n)
+    watts = np.random.default_rng(31).uniform(0.8, 1.2, size=VCPU_POOL + 1)
+    energy = time_money[:, 0] * (watts[vcpus.astype(int)] * vcpus + 0.05 * memory)
+    return np.column_stack([time_money, energy])
 
 
 def matrix_problem(objectives: np.ndarray) -> EnumeratedProblem:
@@ -113,9 +138,23 @@ class SizeReport:
 
 
 @dataclass
+class ThreeObjectiveReport:
+    n: int
+    front_size: int
+    exact_vectorized_ms: float
+    exact_scalar_ms: float
+    indices_identical: bool
+
+    @property
+    def exact_speedup(self) -> float:
+        return self.exact_scalar_ms / self.exact_vectorized_ms
+
+
+@dataclass
 class MoqpReport:
     quick: bool
     sizes: list[SizeReport] = field(default_factory=list)
+    three_objective: ThreeObjectiveReport | None = None
 
     @property
     def largest(self) -> SizeReport:
@@ -179,6 +218,21 @@ def run_moqp_vectorized(quick: bool = False) -> MoqpReport:
                 ),
             )
         )
+    n3 = 1_000 if quick else 5_000
+    points = [tuple(map(float, row)) for row in example31_objectives_3d(n3)]
+    fast_seconds, fast_front = _best_of(
+        lambda: pareto_front_indices(points), repeats=3
+    )
+    slow_seconds, slow_front = _best_of(
+        lambda: pareto_front_indices_py(points), repeats=1
+    )
+    report.three_objective = ThreeObjectiveReport(
+        n=n3,
+        front_size=len(fast_front),
+        exact_vectorized_ms=fast_seconds * 1e3,
+        exact_scalar_ms=slow_seconds * 1e3,
+        indices_identical=fast_front == slow_front,
+    )
     return report
 
 
@@ -196,6 +250,12 @@ def format_report(report: MoqpReport) -> str:
             f"{s.nsga2_generations_per_s:>12.1f} {s.nsga_g_generations_per_s:>12.1f} "
             f"{str(s.indices_identical and s.nsga_fronts_identical):>10}"
         )
+    d3 = report.three_objective
+    lines.append(
+        f"{d3.n:>7} {d3.front_size:>6} {d3.exact_vectorized_ms:>8.1f}ms "
+        f"{d3.exact_scalar_ms:>8.1f}ms {d3.exact_speedup:>7.1f}x "
+        f"{'3 objectives (block kernel)':>25} {str(d3.indices_identical):>10}"
+    )
     largest = report.largest
     lines.append(
         f"largest space: n={largest.n}, exact front in "
@@ -207,6 +267,7 @@ def format_report(report: MoqpReport) -> str:
 
 def write_json(report: MoqpReport) -> None:
     RESULTS_DIR.mkdir(exist_ok=True)
+    d3 = report.three_objective
     payload = {
         "benchmark": "moqp_vectorized",
         "quick": report.quick,
@@ -228,6 +289,14 @@ def write_json(report: MoqpReport) -> None:
             }
             for s in report.sizes
         ],
+        "three_objective": {
+            "n": d3.n,
+            "front_size": d3.front_size,
+            "exact_vectorized_ms": round(d3.exact_vectorized_ms, 3),
+            "exact_scalar_ms": round(d3.exact_scalar_ms, 3),
+            "exact_speedup": round(d3.exact_speedup, 2),
+            "indices_identical": d3.indices_identical,
+        },
     }
     JSON_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 
@@ -236,6 +305,8 @@ def check_report(report: MoqpReport) -> None:
     for s in report.sizes:
         assert s.indices_identical, f"exact front diverged at n={s.n}"
         assert s.nsga_fronts_identical, f"NSGA fronts diverged at n={s.n}"
+    d3 = report.three_objective
+    assert d3.indices_identical, f"3-objective exact front diverged at n={d3.n}"
     largest = report.largest
     if not report.quick:
         assert largest.n == 18_200, largest.n

@@ -179,9 +179,9 @@ class QepEnumerator:
             for combo in itertools.product(*per_site_options):
                 clusters = {}
                 features = dict(prefix)
-                for site, instance, name, count in combo:
+                for site, instance, name, count, value in combo:
                     clusters[site] = provision(site, instance, count)
-                    features[name] = float(count)
+                    features[name] = value
                 candidates.append(
                     QepCandidate(
                         query_key=query_key,
@@ -194,10 +194,10 @@ class QepEnumerator:
 
     def _skeleton(self, tables: tuple[str, ...]):
         """The parameter-independent part of a query's QEP space: the
-        ``(site, instance type, feature name, node count)`` options per
-        site, the execution options and the k-1 indicator options.
-        Shared across calls, so retained candidates share their key
-        strings too."""
+        ``(site, instance type, feature name, node count, feature value)``
+        options per site, the execution options and the k-1 indicator
+        options.  Shared across calls, so retained candidates share their
+        key strings and node-count floats too."""
         skeleton = self._skeletons.get(tables)
         if skeleton is None:
             per_site_options = []
@@ -208,7 +208,7 @@ class QepEnumerator:
                 instance = self.instance_types[site]
                 name = f"nodes_{site}"
                 per_site_options.append(
-                    [(site, instance, name, count) for count in options]
+                    [(site, instance, name, count, float(count)) for count in options]
                 )
             skeleton = self._skeletons[tables] = (
                 per_site_options,

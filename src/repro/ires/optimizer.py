@@ -143,6 +143,8 @@ class MultiObjectiveOptimizer:
     def _checked_features(
         candidates: list[QepCandidate], features_matrix: np.ndarray
     ) -> np.ndarray:
+        if not candidates:  # same contract as EnumeratedProblem
+            raise ValidationError("problem needs at least one candidate")
         features = np.asarray(features_matrix, dtype=float)
         if features.shape[0] != len(candidates):
             raise ValidationError(
@@ -150,35 +152,6 @@ class MultiObjectiveOptimizer:
                 f"{len(candidates)} candidates"
             )
         return features
-
-    @staticmethod
-    def evaluate_all_batched(
-        candidates: list[QepCandidate],
-        cost_model: FittedCostModel,
-        metrics: tuple[str, ...],
-        features_matrix: np.ndarray | None = None,
-    ) -> list[Candidate]:
-        """Exhaustive evaluation through the batched prediction path.
-
-        One (n, L) feature matrix, one ``predict_batch`` call — this is
-        how an Example 3.1-scale space (thousands of equivalent QEPs) is
-        costed without a per-plan Python round trip.  ``features_matrix``
-        optionally supplies the matrix precomputed (it must be row-
-        aligned with ``candidates``).
-        """
-        if not candidates:  # same contract as EnumeratedProblem
-            raise ValidationError("problem needs at least one candidate")
-        if features_matrix is None:
-            features = MultiObjectiveOptimizer.candidate_matrix(candidates, cost_model)
-        else:
-            features = MultiObjectiveOptimizer._checked_features(
-                candidates, features_matrix
-            )
-        objectives = cost_model.model.predict_matrix(features, metrics)
-        return [
-            Candidate(candidate, tuple(map(float, row)))
-            for candidate, row in zip(candidates, objectives)
-        ]
 
     def pareto_search(
         self,
@@ -200,11 +173,17 @@ class MultiObjectiveOptimizer:
         if algorithm == "exact" and len(candidates) > self.config.exact_limit:
             algorithm = "nsga2"
         if algorithm == "exact":
-            evaluated = self.evaluate_all_batched(
-                candidates, cost_model, metrics, features_matrix
-            )
-            front = pareto_front_indices([c.objectives for c in evaluated])
-            pareto = [evaluated[i] for i in front]
+            if features_matrix is None:
+                features = self.candidate_matrix(candidates, cost_model)
+            else:
+                features = self._checked_features(candidates, features_matrix)
+            # One prediction for the whole space; only the front is
+            # wrapped as Candidates, the rest stay matrix rows.
+            objectives = cost_model.model.predict_matrix(features, metrics)
+            pareto = [
+                Candidate(candidates[i], tuple(map(float, objectives[i])))
+                for i in pareto_front_indices(objectives)
+            ]
         else:
             problem = self.build_problem(
                 candidates, cost_model, metrics, features_matrix=features_matrix

@@ -4,7 +4,8 @@ Three granularities:
 
 * **vector dominance** — compare two cost vectors (all metrics <=, resp. <);
 * **matrix dominance** — the vectorized kernel behind the numpy-native
-  Pareto/NSGA path: pairwise dominance of whole point sets in a handful
+  NSGA sort and the d ≥ 3 Pareto front (two objectives take a sort
+  sweep instead): pairwise dominance of whole point sets in a handful
   of broadcasts, blockwise so memory stays bounded at Example 3.1 scale
   (18,200 points);
 * **parametric dominance** — the paper's ``Dom``/``StriDom``/``PaReg``
@@ -103,9 +104,10 @@ def dominated_by_any(
     Blockwise over both operands, so peak scratch memory is
     ``O(block_size² · d)`` however large the point sets get.  A
     standalone dominance query for downstream consumers;
-    :func:`~repro.moqp.pareto.pareto_front_indices` uses the same
-    broadcast kernel but interleaves its screening with the
-    lexicographic sweep, so it does not route through this function.
+    :func:`~repro.moqp.pareto.pareto_front_indices` does not route
+    through it: two objectives take a sort sweep with no broadcast, and
+    three or more interleave the same broadcast kernel with a
+    lexicographic sweep.
     """
     points = np.asarray(points, dtype=float)
     others = np.asarray(others, dtype=float)

@@ -1,11 +1,13 @@
 """Pareto fronts and quality indicators.
 
-The front computation is numpy-native: a lexicographic-sort-assisted
-sweep over blockwise dominance broadcasts (see
-:func:`pareto_front_indices`).  The property suite checks it point for
-point — duplicates, exact per-axis ties and ``inf`` objectives included
-— against the original pure-Python pairwise scan, which lives with the
-tests (``tests/moqp_oracles.py``).
+The front computation is numpy-native (see :func:`pareto_front_indices`):
+two objectives — every workload's (time, money) — take one lexicographic
+sort and a grouped running minimum; three or more take a
+sort-assisted sweep over blockwise dominance broadcasts.  The property
+suite checks both point for point — duplicates, exact per-axis ties,
+``±inf``, ``-0.0`` and NaN objectives included — against the original
+pure-Python pairwise scan, which lives with the tests
+(``tests/moqp_oracles.py``).
 """
 
 from __future__ import annotations
@@ -27,14 +29,14 @@ def pareto_front_indices(
 ) -> list[int]:
     """Indices of the non-dominated points (minimisation, duplicates kept).
 
-    Sort-assisted and memory-bounded: points are processed in
+    Two objectives resolve in one ``O(n log n)`` sweep
+    (:func:`_front_2d`); ``block_size`` does not apply there.  Three or
+    more are sort-assisted and memory-bounded: points are processed in
     lexicographic order (a pareto-dominator always precedes its victim
     there), in blocks of ``block_size``.  Each block is screened against
     the survivors found so far, then intra-block dominance is resolved
     with one small broadcast — peak scratch memory is
-    ``O(block_size² · d)`` regardless of n, and tens of thousands of
-    points (Example 3.1's 18,200 equivalent QEPs) resolve in
-    milliseconds where the pairwise scan needs seconds.
+    ``O(block_size² · d)`` regardless of n.
 
     Returns ascending original indices, exactly matching the scalar
     pairwise scan.
@@ -45,6 +47,8 @@ def pareto_front_indices(
         return []
     if count == 1:
         return [0]
+    if matrix.shape[1] == 2:
+        return _front_2d(matrix)
     # Lexicographic order, first objective most significant: if q
     # pareto-dominates p then q precedes p here (componentwise <= with a
     # strict axis sorts strictly earlier), so a single forward sweep
@@ -73,6 +77,33 @@ def pareto_front_indices(
     merged = np.concatenate(survivor_indices)
     merged.sort()
     return [int(i) for i in merged]
+
+
+def _front_2d(matrix: np.ndarray) -> list[int]:
+    """The d = 2 front: one lexicographic sort, one grouped running minimum.
+
+    A NaN row neither dominates nor is dominated (every comparison with
+    NaN is false), so it is set aside and always kept.  The rest sorts
+    by (x, y); a row is dominated when an earlier x-group reaches a y no
+    greater than its own, or its own x-group a strictly smaller y.
+    Groups split on ``!=`` (``inf - inf`` is NaN, so no ``np.diff``),
+    and the earlier-group test is masked rather than seeded with
+    ``+inf``, which would drop an ``(x, +inf)`` row of the first group.
+    """
+    x, y = matrix[:, 0], matrix[:, 1]
+    nan = np.isnan(x) | np.isnan(y)
+    rows = np.flatnonzero(~nan)
+    order = rows[np.lexsort((y[rows], x[rows]))]
+    xs, ys = x[order], y[order]
+    starts = np.ones(order.size, dtype=bool)
+    starts[1:] = xs[1:] != xs[:-1]
+    group = np.cumsum(starts) - 1
+    group_min = ys[starts]  # y ascends within a group
+    earlier_min = np.minimum.accumulate(group_min)[group - 1]
+    dominated = ((group > 0) & (earlier_min <= ys)) | (group_min[group] < ys)
+    kept = np.concatenate([order[~dominated], np.flatnonzero(nan)])
+    kept.sort()
+    return kept.tolist()
 
 
 def pareto_front(points: Sequence[Sequence[float]]) -> list[Sequence[float]]:

@@ -4,8 +4,10 @@ The vectorized kernels (`pareto_front_indices`, `fast_non_dominated_sort`,
 `crowding_distance`, `grid_cells`) must reproduce their scalar oracles
 (``tests/moqp_oracles.py``, plus ``grid_cell``) *exactly* — same indices, same front order, bitwise-identical
 crowding — over point clouds with duplicates, exact per-axis ties,
-single-point and all-identical fronts, and ``inf`` objectives (PR 3's
-``prediction_error`` inf sentinel can reach objective space).  Seeded
+single-point and all-identical fronts, ``±inf`` objectives (the
+``prediction_error`` inf sentinel can reach objective space), ``-0.0``
+and NaN.  Two-objective fronts take the sort sweep and three-objective
+ones the block kernel; both are checked.  Seeded
 NSGA-II / NSGA-G runs must return fronts identical to the pre-PR scalar
 implementations, which are embedded here verbatim as oracles.
 """
@@ -52,6 +54,16 @@ clouds = st.integers(min_value=1, max_value=3).flatmap(
         st.tuples(*([coordinate] * d)), min_size=1, max_size=40
     )
 )
+# The full IEEE edge set: NaN (never dominates, never dominated), both
+# infinities and a signed zero that must compare equal to 0.0.
+NAN = float("nan")
+edge_coordinate = st.one_of(
+    coordinate, st.sampled_from([NAN, -INF, -0.0, 0.0])
+)
+
+
+def edge_clouds(d: int):
+    return st.lists(st.tuples(*([edge_coordinate] * d)), min_size=1, max_size=40)
 
 
 class TestParetoFrontEquivalence:
@@ -67,6 +79,44 @@ class TestParetoFrontEquivalence:
             pareto_front_indices(points, block_size=3)
             == pareto_front_indices_py(points)
         )
+
+    @given(st.lists(st.tuples(coordinate, coordinate, coordinate), min_size=1, max_size=60))
+    def test_blocked_scan_matches_oracle_3d(self, points):
+        # Two objectives take the sort sweep; three keep the block kernel,
+        # whose block boundaries a tiny block size exercises hard.
+        assert (
+            pareto_front_indices(points, block_size=3)
+            == pareto_front_indices_py(points)
+        )
+
+    @given(st.integers(min_value=2, max_value=3).flatmap(edge_clouds))
+    @settings(max_examples=400)
+    def test_matches_oracle_with_nan_inf_signed_zero(self, points):
+        # d = 2 takes the sort sweep, d = 3 the block kernel.
+        assert pareto_front_indices(points) == pareto_front_indices_py(points)
+
+    def test_plus_inf_in_lowest_x_group_kept(self):
+        # Seeding the earlier-group minimum with +inf would drop (0, inf):
+        # nothing has a smaller x, and nothing in its group a smaller y.
+        points = [(0.0, INF), (1.0, 5.0), (1.0, INF)]
+        assert pareto_front_indices(points) == pareto_front_indices_py(points) == [0, 1]
+
+    def test_all_nan_cloud_all_kept(self):
+        points = [(NAN, NAN), (NAN, 1.0), (2.0, NAN)]
+        assert pareto_front_indices(points) == pareto_front_indices_py(points) == [0, 1, 2]
+
+    def test_nan_mixed_with_duplicates_of_front_point(self):
+        points = [(1.0, 1.0), (NAN, 0.0), (1.0, 1.0), (2.0, 2.0), (0.0, NAN), (1.0, 1.0)]
+        assert (
+            pareto_front_indices(points)
+            == pareto_front_indices_py(points)
+            == [0, 1, 2, 4, 5]
+        )
+
+    def test_single_x_group(self):
+        points = [(3.0, 4.0), (3.0, 2.0), (3.0, 2.0), (3.0, INF), (-0.0, 2.0)]
+        assert pareto_front_indices(points) == pareto_front_indices_py(points)
+        assert pareto_front_indices(points[:4]) == pareto_front_indices_py(points[:4]) == [1, 2]
 
     def test_empty(self):
         assert pareto_front_indices([]) == []
@@ -152,6 +202,11 @@ class TestSortEquivalence:
     @given(clouds)
     @settings(max_examples=200)
     def test_fronts_and_order_match_scalar(self, points):
+        assert fast_non_dominated_sort(points) == fast_non_dominated_sort_py(points)
+
+    @given(st.integers(min_value=2, max_value=3).flatmap(edge_clouds))
+    @settings(max_examples=150)
+    def test_matches_scalar_with_nan_inf_signed_zero(self, points):
         assert fast_non_dominated_sort(points) == fast_non_dominated_sort_py(points)
 
     def test_empty(self):

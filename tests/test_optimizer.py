@@ -1,7 +1,13 @@
-"""Tests for the logical optimizer: rewrites preserve semantics."""
+"""Tests for the optimizers.
+
+The logical optimizer's rewrites preserve semantics; the IReS
+multi-objective optimizer's exact search returns exactly the scalar
+oracle's Pareto front over every candidate.
+"""
 
 import pytest
 
+from repro.ires import DreamStrategy, MultiObjectiveOptimizer
 from repro.plans import Catalog, execute_plan
 from repro.plans.binder import plan_sql
 from repro.plans.logical import Filter, Join, Project, Scan
@@ -9,7 +15,9 @@ from repro.plans.optimizer import conjoin, conjuncts, optimize, referenced_indic
 from repro.relational.expressions import BinaryOp, BoundColumn, Literal
 from repro.relational.types import DataType
 
-from tests.helpers import tiny_catalog
+from repro.workloads.tpch_runner import TpchFederationConfig, TpchFederationWorkload
+from tests.helpers import engine_candidates, tiny_catalog
+from tests.moqp_oracles import pareto_front_indices_py
 
 QUERIES = [
     "select o_orderkey, l_shipmode from orders, lineitem "
@@ -117,3 +125,58 @@ class TestHelpers:
             BinaryOp("=", BoundColumn(7, DataType.INTEGER), BoundColumn(3, DataType.INTEGER)),
         )
         assert referenced_indices(expr) == {3, 7}
+
+
+@pytest.fixture(scope="module")
+def costed_space():
+    workload = TpchFederationWorkload(
+        TpchFederationConfig(
+            scale_mib=100,
+            physical_scale_factor=0.0005,
+            queries=("q12",),
+            drift="none",
+            fixed_execution=None,
+        )
+    )
+    fitted = DreamStrategy().fit(workload.build_history("q12", 30))
+    candidates = engine_candidates(
+        workload.gateway().engine,
+        "q12",
+        {"shipmode1": "MAIL", "shipmode2": "SHIP", "year": 1994},
+    )
+    return candidates, fitted
+
+
+class TestExactParetoSearch:
+    @pytest.mark.parametrize("precomputed", [False, True])
+    @pytest.mark.parametrize("copies", [1, 2])
+    def test_front_equals_oracle_over_all_candidates(
+        self, costed_space, precomputed, copies
+    ):
+        # Two copies of the space put a duplicate beside every front point.
+        base, fitted = costed_space
+        candidates = base * copies
+        metrics = ("time", "money")
+        features = MultiObjectiveOptimizer.candidate_matrix(candidates, fitted)
+        objectives = [
+            tuple(map(float, row))
+            for row in fitted.model.predict_matrix(features, metrics)
+        ]
+        expected = pareto_front_indices_py(objectives)
+
+        search = MultiObjectiveOptimizer().pareto_search(
+            candidates,
+            fitted,
+            metrics,
+            features_matrix=features if precomputed else None,
+        )
+
+        assert search.algorithm_used == "exact"
+        assert 1 <= len(expected) < len(candidates)
+        got = search.pareto_set
+        assert len(got) == len(expected)
+        for candidate, index in zip(got, expected):
+            assert candidate.payload is candidates[index]
+            assert [v.hex() for v in candidate.objectives] == [
+                v.hex() for v in objectives[index]
+            ]
