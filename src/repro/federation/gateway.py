@@ -68,7 +68,7 @@ from repro.federation.session import GatewaySession
 from repro.common.errors import EstimationError
 from repro.core.history import ExecutionHistory
 from repro.ires.deployment import Deployment
-from repro.ires.enumerator import QepCandidate, QepEnumerator
+from repro.ires.enumerator import QepCandidate, QepEnumerator, QepSpace
 from repro.ires.executor import Executor
 from repro.ires.interface import QueryRequest
 from repro.ires.modelling import EstimationStrategy, FittedCostModel
@@ -485,8 +485,12 @@ class FederationGateway:
         params: dict,
         stats: dict[str, TableStats] | None = None,
         principal: Principal | None = None,
-    ) -> list[QepCandidate]:
+    ) -> QepSpace:
         """The enumerated QEP space of one query instance.
+
+        The space is a read-only ``Sequence`` of :class:`QepCandidate`
+        (index, slice, iterate, ``len``) whose candidates are built on
+        first access; use ``list(space)`` for list arithmetic.
 
         With a governance plane, ``principal`` scopes the active policy
         rules: the returned space contains only plans the caller may
@@ -658,7 +662,7 @@ class FederationGateway:
         principal: Principal | None,
         constraint: PlanConstraint | None,
         stats: dict[str, TableStats] | None = None,
-    ) -> list[QepCandidate]:
+    ) -> QepSpace:
         """The enumerate stage: the QEP space, filtered by ``constraint``.
 
         An empty filtered space is denied, never returned.  That is
@@ -680,7 +684,7 @@ class FederationGateway:
         return space
 
     def _explore(
-        self, key: str, request: ObserveRequest, space: list[QepCandidate]
+        self, key: str, request: ObserveRequest, space: QepSpace
     ) -> tuple[QepCandidate, int | None]:
         """An observation's QEP: the envelope's ``candidate_index``, or the
         next step of the template's deterministic rotation (returned too,

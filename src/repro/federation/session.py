@@ -216,7 +216,7 @@ class GatewaySession:
 
     # ----------------------------------------------------------------------
 
-    def candidate_matrix(self, candidates: list[QepCandidate]) -> np.ndarray:
+    def candidate_matrix(self, candidates: Sequence[QepCandidate]) -> np.ndarray:
         """Feature matrix of a candidate set in the pinned model's order."""
         self._require_open()
         return MultiObjectiveOptimizer.candidate_matrix(candidates, self._model)

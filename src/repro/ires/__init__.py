@@ -20,7 +20,7 @@ from repro.ires.policy import UserPolicy
 from repro.ires.deployment import Deployment
 from repro.ires.interface import Interface, QueryRequest
 from repro.ires.modelling import BmlStrategy, DreamStrategy, Modelling, FittedCostModel
-from repro.ires.enumerator import QepCandidate, QepEnumerator, vm_configuration_count
+from repro.ires.enumerator import QepCandidate, QepEnumerator, QepSpace, vm_configuration_count
 from repro.ires.optimizer import MultiObjectiveOptimizer, OptimizerConfig
 from repro.ires.executor import Executor
 from repro.ires.platform import IReSPlatform, SubmissionResult
@@ -36,6 +36,7 @@ __all__ = [
     "FittedCostModel",
     "QepCandidate",
     "QepEnumerator",
+    "QepSpace",
     "vm_configuration_count",
     "MultiObjectiveOptimizer",
     "OptimizerConfig",

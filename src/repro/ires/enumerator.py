@@ -14,19 +14,35 @@ equivalent configurations for a single plan — is exposed verbatim by
 :func:`vm_configuration_count`.
 
 Only the size features depend on the query instance, and only through
-``profile_plan``.  The enumerator therefore keeps the node-count and
-execution options per query table set, one :class:`Placement` per
+``profile_plan``.  The enumerator therefore keeps, per query table set,
+one :class:`NodeGrid`: the node-count combos in ``itertools.product``
+order, each with one read-only clusters mapping and its
+``(nodes_<site>, float)`` pairs, plus the same counts as an
+``(n_combos, n_sites)`` float grid.  ``CloudFederation.provision`` runs
+only while a grid is built.  It also keeps one :class:`Placement` per
 execution option and, per ``(plan, stats, tables, execution)``, the
 size + indicator feature prefix, for the last :data:`PREFIX_CAPACITY`
 combinations; a repeated plan (the Interface hands out one shared plan
-per distinct SQL) skips profiling.  Every call still builds fresh
-candidates with their own ``features`` and ``clusters`` dicts.
+per distinct SQL) skips profiling.
+
+``enumerate`` returns a :class:`QepSpace`: a sequence over one
+``(placement, prefix)`` pair per admitted execution option times the
+grid's combos.  Row ``i`` is ``divmod(i, n_combos)``.  A candidate is
+built on first access and is the same object ever after; its
+``features`` and ``clusters`` dicts are private copies built on first
+access, so a caller mutating a candidate cannot corrupt a cache.  The
+optimizer reads the space's feature matrix straight from the prefixes
+and the grid.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import operator
+from collections.abc import Sequence
+from types import MappingProxyType
+
+import numpy as np
 
 from repro.cloud.federation import CloudFederation
 from repro.cloud.vm import Cluster
@@ -44,14 +60,54 @@ from repro.plans.statistics import TableStats
 PREFIX_CAPACITY = 1024
 
 
-@dataclass(slots=True)
 class QepCandidate:
-    """One equivalent QEP: execution choice + cluster configuration."""
+    """One equivalent QEP: execution choice + cluster configuration.
 
-    query_key: str
-    placement: Placement
-    clusters: dict[str, Cluster]
-    features: dict[str, float]
+    A candidate from :meth:`QepEnumerator.enumerate` builds ``features``
+    (the feature prefix, then one node count per site) and ``clusters``
+    on first access, as dicts of its own.
+    """
+
+    __slots__ = ("query_key", "placement", "_clusters", "_features", "_prefix", "_combo")
+
+    def __init__(
+        self,
+        query_key: str,
+        placement: Placement,
+        clusters: dict[str, Cluster],
+        features: dict[str, float],
+    ):
+        self.query_key = query_key
+        self.placement = placement
+        self._clusters = clusters
+        self._features = features
+        self._prefix = self._combo = None
+
+    @classmethod
+    def _on_demand(cls, query_key, placement, prefix, combo) -> QepCandidate:
+        candidate = cls.__new__(cls)
+        candidate.query_key = query_key
+        candidate.placement = placement
+        candidate._clusters = candidate._features = None
+        candidate._prefix = prefix
+        candidate._combo = combo
+        return candidate
+
+    @property
+    def features(self) -> dict[str, float]:
+        features = self._features
+        if features is None:
+            features = dict(self._prefix)
+            features.update(self._combo[1])
+            self._features = features
+        return features
+
+    @property
+    def clusters(self) -> dict[str, Cluster]:
+        clusters = self._clusters
+        if clusters is None:
+            clusters = self._clusters = dict(self._combo[0])
+        return clusters
 
     @property
     def execution(self) -> EnginePlacement:
@@ -62,6 +118,125 @@ class QepCandidate:
             f"{site}={cluster.node_count}" for site, cluster in sorted(self.clusters.items())
         )
         return f"{self.query_key} @ {self.execution.engine}/{self.execution.site} [{nodes}]"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.query_key, self.placement, self.clusters, self.features) == (
+            other.query_key,
+            other.placement,
+            other.clusters,
+            other.features,
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"QepCandidate(query_key={self.query_key!r}, placement={self.placement!r}, "
+            f"clusters={self.clusters!r}, features={self.features!r})"
+        )
+
+
+class NodeGrid:
+    """The node-count combos of one query table set, shared by every
+    space over it.
+
+    ``combos[k]`` is ``(clusters, node_pairs)``: a read-only
+    ``site -> Cluster`` mapping and the ``(nodes_<site>, float)`` pairs
+    in site order.  ``values[k]`` holds the same floats as a row of the
+    ``(n_combos, n_sites)`` grid, whose column for a feature name is
+    ``columns[name]``.
+    """
+
+    __slots__ = ("columns", "combos", "values")
+
+    def __init__(self, per_site: dict[str, list[Cluster]]):
+        """``per_site`` maps each site, in feature order, to its cluster
+        per node-count option."""
+        names = [f"nodes_{site}" for site in per_site]
+        self.columns = {name: j for j, name in enumerate(names)}
+        self.combos = tuple(
+            (
+                MappingProxyType(dict(zip(per_site, clusters))),
+                tuple(
+                    (name, float(cluster.node_count))
+                    for name, cluster in zip(names, clusters)
+                ),
+            )
+            for clusters in itertools.product(*per_site.values())
+        )
+        values = np.array(
+            [[value for _name, value in pairs] for _clusters, pairs in self.combos],
+            dtype=float,
+        ).reshape(len(self.combos), len(names))
+        values.flags.writeable = False
+        self.values = values
+
+    def __len__(self) -> int:
+        return len(self.combos)
+
+
+class QepSpace(Sequence[QepCandidate]):
+    """The QEP space of one query instance, built on demand.
+
+    ``options`` holds one ``(placement, feature prefix)`` pair per
+    admitted execution option; ``grid`` is the table set's
+    :class:`NodeGrid`.  Row ``i`` is execution option ``i // len(grid)``
+    at combo ``i % len(grid)``, the order of an eager nested loop.
+    ``space[i]`` builds its candidate on first access and returns that
+    same object every time after; a slice is a list.
+    """
+
+    __slots__ = ("query_key", "options", "grid", "_built")
+
+    def __init__(self, query_key: str, options, grid: NodeGrid):
+        self.query_key = query_key
+        self.options = tuple(options)
+        self.grid = grid
+        self._built: dict[int, QepCandidate] = {}
+
+    def __len__(self) -> int:
+        return len(self.options) * len(self.grid)
+
+    def __getitem__(self, index):
+        # A built row costs one dict lookup: a Pareto search reads its
+        # front's rows on every request.
+        if type(index) is int:
+            candidate = self._built.get(index)
+            if candidate is not None:
+                return candidate
+        elif isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        i = operator.index(index)
+        size = len(self)
+        if i < 0:
+            i += size
+        if not 0 <= i < size:
+            raise IndexError(f"QEP space index {index} out of range for {size} candidates")
+        candidate = self._built.get(i)
+        if candidate is None:
+            option, combo = divmod(i, len(self.grid))
+            placement, prefix = self.options[option]
+            # setdefault: two threads racing on one row get one object.
+            candidate = self._built.setdefault(
+                i,
+                QepCandidate._on_demand(
+                    self.query_key, placement, prefix, self.grid.combos[combo]
+                ),
+            )
+        return candidate
+
+    def built_features(self):
+        """``(index, features)`` of every candidate whose ``features``
+        dict exists: those rows must be read from the dict, which a
+        caller may have changed."""
+        return [
+            (i, candidate._features)
+            for i, candidate in list(self._built.items())
+            if candidate._features is not None
+        ]
+
+    def __repr__(self) -> str:
+        return f"QepSpace({self.query_key!r}, {len(self)} candidates)"
 
 
 def vm_configuration_count(vcpu_pool: int = 70, memory_pool_gb: int = 260) -> int:
@@ -154,8 +329,8 @@ class QepEnumerator:
         stats: dict[str, TableStats],
         tables: tuple[str, ...],
         constraint=None,
-    ) -> list[QepCandidate]:
-        """The QEP space of one query instance.
+    ) -> QepSpace:
+        """The QEP space of one query instance, as a :class:`QepSpace`.
 
         ``constraint`` is an optional governance
         :class:`~repro.governance.policy.PlanConstraint`: execution
@@ -168,50 +343,34 @@ class QepEnumerator:
         ``None`` (the default, and the permissive-governance path) is
         byte-for-byte the historical behavior.
         """
-        per_site_options, executions, indicator_options = self._skeleton(tables)
+        grid, executions, indicator_options = self._skeleton(tables)
         if constraint is not None:
             executions = [e for e in executions if constraint.permits(e.site)]
-        candidates: list[QepCandidate] = []
-        provision = self.federation.provision
+        options = []
         for execution in executions:
             placement = self._placement(execution)
-            prefix = self._prefix(plan, stats, tables, placement, indicator_options)
-            for combo in itertools.product(*per_site_options):
-                clusters = {}
-                features = dict(prefix)
-                for site, instance, name, count, value in combo:
-                    clusters[site] = provision(site, instance, count)
-                    features[name] = value
-                candidates.append(
-                    QepCandidate(
-                        query_key=query_key,
-                        placement=placement,
-                        clusters=clusters,
-                        features=features,
-                    )
-                )
-        return candidates
+            options.append(
+                (placement, self._prefix(plan, stats, tables, placement, indicator_options))
+            )
+        return QepSpace(query_key, options, grid)
 
     def _skeleton(self, tables: tuple[str, ...]):
         """The parameter-independent part of a query's QEP space: the
-        ``(site, instance type, feature name, node count, feature value)``
-        options per site, the execution options and the k-1 indicator
-        options.  Shared across calls, so retained candidates share their
-        key strings and node-count floats too."""
+        :class:`NodeGrid`, the execution options and the k-1 indicator
+        options.  Built once per table set, so every space over it shares
+        its clusters, key strings and node-count floats."""
         skeleton = self._skeletons.get(tables)
         if skeleton is None:
-            per_site_options = []
+            provision = self.federation.provision
+            per_site = {}
             for site in self._sites(tables):
                 options = self.node_options.get(site)
                 require(options is not None and len(options) > 0,
                         f"no node options for site {site!r}")
                 instance = self.instance_types[site]
-                name = f"nodes_{site}"
-                per_site_options.append(
-                    [(site, instance, name, count, float(count)) for count in options]
-                )
+                per_site[site] = [provision(site, instance, count) for count in options]
             skeleton = self._skeletons[tables] = (
-                per_site_options,
+                NodeGrid(per_site),
                 self._execution_options(tables),
                 self._execution_indicator_options(tables),
             )

@@ -9,12 +9,13 @@ the user policy.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.common.errors import ValidationError
-from repro.ires.enumerator import QepCandidate
+from repro.common.errors import EstimationError, ValidationError
+from repro.ires.enumerator import QepCandidate, QepSpace
 from repro.ires.modelling import FittedCostModel
 from repro.ires.policy import UserPolicy
 from repro.moqp.nsga2 import Nsga2, Nsga2Config
@@ -74,7 +75,7 @@ class MultiObjectiveOptimizer:
 
     def build_problem(
         self,
-        candidates: list[QepCandidate],
+        candidates: Sequence[QepCandidate],
         cost_model: FittedCostModel,
         metrics: tuple[str, ...],
         features_matrix: np.ndarray | None = None,
@@ -95,24 +96,13 @@ class MultiObjectiveOptimizer:
             )
             return tuple(prediction[metric] for metric in metrics)
 
-        if features_matrix is not None:
-            features = self._checked_features(candidates, features_matrix)
+        if features_matrix is None:
+            features = self.candidate_matrix(candidates, cost_model)
         else:
-            features = None
+            features = self._checked_features(candidates, features_matrix)
 
         def evaluate_batch(indices):
-            index_list = list(indices)
-            if features is not None:
-                rows = features[index_list]
-            else:
-                rows = np.array(
-                    [
-                        model.features_dict_to_vector(candidates[i].features)
-                        for i in index_list
-                    ],
-                    dtype=float,
-                ).reshape(len(index_list), -1)
-            return model.predict_matrix(rows, metrics)
+            return model.predict_matrix(features[list(indices)], metrics)
 
         return EnumeratedProblem(
             candidates, evaluate, len(metrics), evaluate_batch=evaluate_batch
@@ -120,28 +110,48 @@ class MultiObjectiveOptimizer:
 
     @staticmethod
     def candidate_matrix(
-        candidates: list[QepCandidate], cost_model: FittedCostModel
+        candidates: Sequence[QepCandidate], cost_model: FittedCostModel
     ) -> np.ndarray:
-        """The (n, L) feature matrix of a candidate set.
+        """The (n, L) feature matrix of a candidate set, C-contiguous, in
+        the model's feature order.
 
-        Building this is the only per-candidate Python loop left on the
-        costing path; a serving layer that re-costs the same QEP space
-        every burst should build it once and pass it back in through
+        A :class:`QepSpace` fills it column by column from its execution
+        options' prefixes and its node-count grid, without building a
+        candidate; a row whose candidate has already built its
+        ``features`` is read from that dict, which its caller may have
+        changed.  Any other sequence is read one candidate dict at a
+        time.  A serving layer that re-costs the same QEP space every
+        burst should build this once and pass it back in through
         ``features_matrix=``.
         """
         if not candidates:  # same contract as EnumeratedProblem
             raise ValidationError("problem needs at least one candidate")
-        return np.array(
-            [
-                cost_model.model.features_dict_to_vector(candidate.features)
-                for candidate in candidates
-            ],
-            dtype=float,
-        ).reshape(len(candidates), -1)
+        model = cost_model.model
+        if not isinstance(candidates, QepSpace):
+            return np.array(
+                [model.features_dict_to_vector(c.features) for c in candidates],
+                dtype=float,
+            ).reshape(len(candidates), -1)
+        grid = candidates.grid
+        prefixes = [prefix for _placement, prefix in candidates.options]
+        matrix = np.empty((len(candidates), len(model.feature_names)))
+        for j, name in enumerate(model.feature_names):
+            column = grid.columns.get(name)
+            if column is not None:
+                matrix[:, j] = np.tile(grid.values[:, column], len(prefixes))
+                continue
+            try:
+                values = [prefix[name] for prefix in prefixes]
+            except KeyError:
+                raise EstimationError(f"missing feature {name!r}") from None
+            matrix[:, j] = np.repeat(values, len(grid))
+        for i, features in candidates.built_features():
+            matrix[i] = model.features_dict_to_vector(features)
+        return matrix
 
     @staticmethod
     def _checked_features(
-        candidates: list[QepCandidate], features_matrix: np.ndarray
+        candidates: Sequence[QepCandidate], features_matrix: np.ndarray
     ) -> np.ndarray:
         if not candidates:  # same contract as EnumeratedProblem
             raise ValidationError("problem needs at least one candidate")
@@ -155,7 +165,7 @@ class MultiObjectiveOptimizer:
 
     def pareto_search(
         self,
-        candidates: list[QepCandidate],
+        candidates: Sequence[QepCandidate],
         cost_model: FittedCostModel,
         metrics: tuple[str, ...],
         features_matrix: np.ndarray | None = None,
@@ -201,7 +211,7 @@ class MultiObjectiveOptimizer:
 
     def pareto_set(
         self,
-        candidates: list[QepCandidate],
+        candidates: Sequence[QepCandidate],
         cost_model: FittedCostModel,
         metrics: tuple[str, ...],
         features_matrix: np.ndarray | None = None,

@@ -21,13 +21,14 @@ goes through.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.common.errors import EstimationError, ValidationError
 from repro.core.history import ExecutionHistory
 from repro.engines.simulate import MultiEngineSimulator, QueryExecution
 from repro.ires.deployment import Deployment
-from repro.ires.enumerator import QepCandidate, QepEnumerator
+from repro.ires.enumerator import QepCandidate, QepEnumerator, QepSpace
 from repro.ires.executor import Executor
 from repro.ires.interface import Interface, QueryRequest
 from repro.ires.modelling import EstimationStrategy, FittedCostModel, Modelling
@@ -162,7 +163,7 @@ class IReSPlatform:
         request: QueryRequest,
         stats: dict[str, TableStats] | None = None,
         constraint=None,
-    ) -> list[QepCandidate]:
+    ) -> QepSpace:
         """Step 3a: the QEP space of one received query.
 
         ``stats`` overrides the platform's table statistics for this call
@@ -183,7 +184,7 @@ class IReSPlatform:
     def plan(
         self,
         request: QueryRequest,
-        candidates: list[QepCandidate],
+        candidates: Sequence[QepCandidate],
         cost_model: FittedCostModel,
         features_matrix=None,
     ) -> SubmissionResult:

@@ -27,7 +27,7 @@ from repro.core.history import ExecutionHistory
 from repro.engines.simulate import MultiEngineSimulator
 from repro.federation import FederationConfig, FederationGateway, ObserveRequest
 from repro.ires.deployment import Deployment
-from repro.ires.enumerator import QepCandidate, QepEnumerator
+from repro.ires.enumerator import QepEnumerator, QepSpace
 from repro.plans.physical import EnginePlacement
 from repro.tpch.dataset import TpchDataset
 from repro.tpch.queries import TPCH_QUERIES
@@ -172,7 +172,7 @@ class TpchFederationWorkload:
     def build_all_histories(self, runs: int) -> dict[str, ExecutionHistory]:
         return {key: self.build_history(key, runs) for key in self.config.queries}
 
-    def candidates(self, query_key: str, params: dict) -> list[QepCandidate]:
+    def candidates(self, query_key: str, params: dict) -> QepSpace:
         """The QEP space of one query instance over the full statistics,
         through a dedicated gateway."""
         with self.gateway(queries=(query_key,)) as gateway:

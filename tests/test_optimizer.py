@@ -2,12 +2,17 @@
 
 The logical optimizer's rewrites preserve semantics; the IReS
 multi-objective optimizer's exact search returns exactly the scalar
-oracle's Pareto front over every candidate.
+oracle's Pareto front over every candidate, and the feature matrix a
+``QepSpace`` fills from its parts is bitwise the per-candidate one.
 """
 
+import numpy as np
 import pytest
 
-from repro.ires import DreamStrategy, MultiObjectiveOptimizer
+from repro.common.errors import EstimationError
+from repro.core.cost_model import MultiCostModel
+from repro.ires import DreamStrategy, MultiObjectiveOptimizer, OptimizerConfig
+from repro.ires.modelling import FittedCostModel
 from repro.plans import Catalog, execute_plan
 from repro.plans.binder import plan_sql
 from repro.plans.logical import Filter, Join, Project, Scan
@@ -128,7 +133,8 @@ class TestHelpers:
 
 
 @pytest.fixture(scope="module")
-def costed_space():
+def q12():
+    """A fresh-space factory for TPC-H q12 (24 QEPs) and a fitted model."""
     workload = TpchFederationWorkload(
         TpchFederationConfig(
             scale_mib=100,
@@ -139,12 +145,20 @@ def costed_space():
         )
     )
     fitted = DreamStrategy().fit(workload.build_history("q12", 30))
-    candidates = engine_candidates(
-        workload.gateway().engine,
-        "q12",
-        {"shipmode1": "MAIL", "shipmode2": "SHIP", "year": 1994},
-    )
-    return candidates, fitted
+    engine = workload.gateway().engine
+
+    def fresh_space():
+        return engine_candidates(
+            engine, "q12", {"shipmode1": "MAIL", "shipmode2": "SHIP", "year": 1994}
+        )
+
+    return fresh_space, fitted
+
+
+@pytest.fixture(scope="module")
+def costed_space(q12):
+    fresh_space, fitted = q12
+    return fresh_space(), fitted
 
 
 class TestExactParetoSearch:
@@ -155,7 +169,7 @@ class TestExactParetoSearch:
     ):
         # Two copies of the space put a duplicate beside every front point.
         base, fitted = costed_space
-        candidates = base * copies
+        candidates = base if copies == 1 else list(base) * copies
         metrics = ("time", "money")
         features = MultiObjectiveOptimizer.candidate_matrix(candidates, fitted)
         objectives = [
@@ -180,3 +194,95 @@ class TestExactParetoSearch:
             assert [v.hex() for v in candidate.objectives] == [
                 v.hex() for v in objectives[index]
             ]
+
+
+def reordered(fitted, names):
+    """``fitted`` with its feature order replaced by ``names``."""
+    model = fitted.model
+    return FittedCostModel(
+        model=MultiCostModel({m: model.model(m) for m in model.metrics}, names),
+        strategy=fitted.strategy,
+        training_size=fitted.training_size,
+    )
+
+
+def assert_bitwise(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+
+
+class TestCandidateMatrix:
+    def models(self, fitted):
+        names = fitted.model.feature_names
+        return [fitted, reordered(fitted, names[::-1]), reordered(fitted, names[1:] + names[:1])]
+
+    def test_space_matrix_is_the_per_candidate_matrix(self, q12):
+        fresh_space, fitted = q12
+        for cost_model in self.models(fitted):
+            space = fresh_space()
+            got = MultiObjectiveOptimizer.candidate_matrix(space, cost_model)
+            want = MultiObjectiveOptimizer.candidate_matrix(list(fresh_space()), cost_model)
+            assert got.flags.c_contiguous
+            assert_bitwise(got, want)
+            # Filled from the parts: no candidate was built.
+            assert space._built == {}
+
+    def test_the_dict_order_differs_from_a_reordered_model(self, q12):
+        fresh_space, fitted = q12
+        dict_order = tuple(fresh_space()[0].features)
+        assert sorted(dict_order) == sorted(fitted.model.feature_names)
+        for cost_model in self.models(fitted)[1:]:
+            assert cost_model.model.feature_names != dict_order
+
+    def test_a_mutated_candidate_row_follows_its_dict(self, q12):
+        fresh_space, fitted = q12
+        for cost_model in self.models(fitted):
+            space = fresh_space()
+            name = cost_model.model.feature_names[0]
+            space[5].features[name] = 123.25
+            space[-1].features["injected"] = 1.0  # ignored: not a model feature
+            space[7].clusters.clear()  # clusters are not features
+            assert [i for i, _ in space.built_features()] == [5, len(space) - 1]
+            got = MultiObjectiveOptimizer.candidate_matrix(space, cost_model)
+            want = MultiObjectiveOptimizer.candidate_matrix(list(space), cost_model)
+            assert got[5, 0] == 123.25
+            assert_bitwise(got, want)
+            assert got.flags.c_contiguous
+            del space[3].features[name]
+            with pytest.raises(EstimationError, match="missing feature"):
+                MultiObjectiveOptimizer.candidate_matrix(space, cost_model)
+
+    def test_a_feature_missing_from_the_space_is_an_error(self, q12):
+        fresh_space, fitted = q12
+        names = fitted.model.feature_names + ("nodes_nowhere",)
+        with pytest.raises(EstimationError, match="missing feature 'nodes_nowhere'"):
+            MultiObjectiveOptimizer.candidate_matrix(fresh_space(), reordered(fitted, names))
+
+    @pytest.mark.parametrize("algorithm", ["exact", "nsga2", "nsga-g"])
+    def test_every_search_path_costs_the_same_matrix(self, q12, monkeypatch, algorithm):
+        fresh_space, fitted = q12
+        metrics = ("time", "money")
+        calls = []
+        real = MultiObjectiveOptimizer.candidate_matrix
+
+        def counted(candidates, cost_model):
+            calls.append(len(candidates))
+            return real(candidates, cost_model)
+
+        monkeypatch.setattr(MultiObjectiveOptimizer, "candidate_matrix", staticmethod(counted))
+        optimizer = MultiObjectiveOptimizer(OptimizerConfig(algorithm=algorithm))
+        space = fresh_space()
+        search = optimizer.pareto_search(space, fitted, metrics)
+        assert calls == [len(space)]
+        # The fallback fills the same matrix a caller would precompute.
+        problem = optimizer.build_problem(fresh_space(), fitted, metrics)
+        objectives = problem.objectives_matrix(range(problem.size))
+        matrix = real(fresh_space(), fitted)
+        assert_bitwise(objectives, fitted.model.predict_matrix(matrix, metrics))
+        again = optimizer.pareto_search(fresh_space(), fitted, metrics, features_matrix=matrix)
+        assert [c.payload.describe() for c in search.pareto_set] == [
+            c.payload.describe() for c in again.pareto_set
+        ]
+        assert [c.objectives for c in search.pareto_set] == [
+            c.objectives for c in again.pareto_set
+        ]

@@ -13,6 +13,10 @@ cached result equals what a fresh parse / a direct build returns:
   override, a ``PlanConstraint`` and ``fixed_execution``);
 * every cache evicts at its bound;
 * a caller mutating a returned candidate cannot corrupt the cache;
+* the on-demand ``QepSpace`` indexes, slices and iterates exactly like
+  the eager reference list, returns one object per row and never shares
+  a built ``features`` or ``clusters`` dict, and ``provision`` runs only
+  while a skeleton is built;
 * ``gateway.observe`` parses an already-seen SQL zero times and a new
   one once.
 """
@@ -301,6 +305,73 @@ def test_mutating_a_candidate_leaves_the_next_enumeration_unchanged(environments
             candidate.features["injected"] = 1.0
             candidate.clusters.clear()
         got[0].features.clear()
+
+
+def assert_space_matches(got, want):
+    """``got`` (an on-demand space) against the eager list ``want``:
+    length, every index, slices, iteration order and the end."""
+    size = len(want)
+    assert len(got) == size
+    assert_same_space(list(got), want)
+    for index in range(-size, size):
+        assert_same_space([got[index]], [want[index]])
+        assert got[index] is got[index] is got[index % size]
+    for window in (slice(None), slice(1, 5), slice(-3, None), slice(None, None, -7),
+                   slice(5, 2), slice(2, size + 10, 5)):
+        assert_same_space(got[window], want[window])
+    for index in (size, -size - 1, size + 100):
+        with pytest.raises(IndexError):
+            got[index]
+
+
+@pytest.mark.parametrize("drop_site", [False, True], ids=["unconstrained", "drop-site"])
+@pytest.mark.parametrize("family,template", TEMPLATES, ids=lambda v: getattr(v, "key", v))
+def test_on_demand_space_equals_the_eager_reference(
+    environments, family, template, drop_site
+):
+    env = environments[family]
+    enumerator = env.fresh_enumerator()
+    plan = env.interface().receive(sampled_sql(template, 1)[0]).plan
+    tables = template.tables
+    constraint = None
+    if drop_site:
+        site = env.deployment.execution_options(tables)[-1].site
+        constraint = PlanConstraint(excluded_sites=frozenset({site}))
+    want = reference_space(enumerator, template.key, plan, env.stats, tables, constraint)
+    if drop_site:
+        full = reference_space(enumerator, template.key, plan, env.stats, tables)
+        assert len(want) < len(full)
+    first, second = (
+        enumerator.enumerate(template.key, plan, env.stats, tables, constraint=constraint)
+        for _ in range(2)
+    )
+    assert_space_matches(first, want)
+    assert_space_matches(second, want)
+    # Every built dict is private: across enumerations and within one.
+    for mine, theirs in zip(first, second):
+        assert mine is not theirs
+        assert mine.features is not theirs.features
+        assert mine.clusters is not theirs.clusters
+    for space in (first, second):
+        assert len({id(c.features) for c in space}) == len(space)
+        assert len({id(c.clusters) for c in space}) == len(space)
+
+
+def test_provision_runs_only_while_a_skeleton_is_built(environments, monkeypatch):
+    env = environments["tpch"]
+    template = EXTENDED_QUERIES["q12"]
+    enumerator = env.fresh_enumerator()
+    federation = enumerator.federation
+    provisions = count_calls(monkeypatch, federation, "provision")
+    plan = env.interface().receive(sampled_sql(template, 1)[0]).plan
+    space = enumerator.enumerate(template.key, plan, env.stats, template.tables)
+    sites = {env.deployment.site_of(table).lower() for table in template.tables}
+    assert provisions["n"] == sum(len(enumerator.node_options[s]) for s in sites)
+    before = provisions["n"]
+    for _ in range(3):
+        space = enumerator.enumerate(template.key, plan, env.stats, template.tables)
+        [candidate.clusters for candidate in space]
+    assert provisions["n"] == before
 
 
 def test_prefix_cache_evicts_at_its_bound(environments, monkeypatch):
