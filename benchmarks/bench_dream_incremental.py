@@ -17,6 +17,15 @@ TPC-H federation history two ways:
 Both paths must choose identical windows and agree on every prediction
 to 1e-6; the incremental path must be at least 5x faster end to end.
 
+A second row replays a **constant-column history**: after random
+exploration, every tick executes the same plan (the optimizer's repeated
+choice), so its node and engine columns are constant over the recent
+rows and the chosen windows are rank-deficient.  There the incremental
+engine takes the batch fallback, with one shared factorisation per
+window and no conditioning SVD; it is timed against the batch
+:class:`DreamEstimator` refit alone, and must again choose identical
+windows and agree to 1e-6.
+
 Run standalone:  PYTHONPATH=src python benchmarks/bench_dream_incremental.py [--quick]
 """
 
@@ -30,6 +39,7 @@ import numpy as np
 
 from repro.common.rng import RngStream
 from repro.core import DreamEstimator, ExecutionHistory, OnlineDreamEstimator
+from repro.federation import ObserveRequest
 from repro.tpch.queries import TPCH_QUERIES
 from repro.workloads.tpch_runner import TpchFederationConfig, TpchFederationWorkload
 
@@ -53,6 +63,22 @@ class IncrementalReport:
     @property
     def speedup(self) -> float:
         return self.seed_seconds / self.incremental_seconds
+
+
+@dataclass(frozen=True)
+class ConstantColumnReport:
+    ticks: int
+    batch_seconds: float
+    online_seconds: float
+    max_relative_difference: float
+    windows_identical: bool
+    mean_window: float
+    #: Share of the online fits' chosen windows with a constant column.
+    constant_share: float
+
+    @property
+    def speedup(self) -> float:
+        return self.batch_seconds / self.online_seconds
 
 
 def _qep_space_workload(quick: bool) -> TpchFederationWorkload:
@@ -141,6 +167,80 @@ def run_dream_incremental(quick: bool = False) -> IncrementalReport:
     )
 
 
+def _chosen_plan_history(
+    workload: TpchFederationWorkload, explore: int, exploit: int
+) -> ExecutionHistory:
+    """q12 runs: ``explore`` random QEPs, then ``exploit`` more runs of
+    the last one, whose node and engine features repeat on every row."""
+    template = TPCH_QUERIES["q12"]
+    rng = RngStream(31, "bench-constant-column")
+    gateway = workload.gateway(queries=("q12",))
+    for tick in range(explore + exploit):
+        params = template.sample_params(rng)
+        fraction = float(rng.uniform(0.05, 0.5))
+        stats = {
+            name: table_stats.sampled(fraction)
+            for name, table_stats in workload.dataset.logical_stats.items()
+        }
+        candidates = gateway.candidates("q12", params, stats=stats)
+        if tick < explore:
+            index = int(rng.integers(0, len(candidates)))
+        gateway.observe(
+            ObserveRequest("q12", params, tick=tick), candidate=candidates[index], stats=stats
+        )
+    history = gateway.history("q12")
+    gateway.close()
+    return history
+
+
+def run_constant_column(quick: bool = False) -> ConstantColumnReport:
+    explore = 20 if quick else 40
+    ticks = 2 * MAX_WINDOW if quick else 4 * MAX_WINDOW
+    source = _chosen_plan_history(_qep_space_workload(quick), explore, ticks)
+    replay = ExecutionHistory(source.feature_names, source.metric_names)
+    observations = source.observations
+    for obs in observations[:explore]:
+        replay.append(obs.tick, obs.features, obs.costs)
+    probe = np.array(
+        [[obs.features[name] for name in source.feature_names] for obs in observations]
+    )
+
+    batch = DreamEstimator(r2_required=R2_REQUIRED, max_window=MAX_WINDOW)
+    online = OnlineDreamEstimator(r2_required=R2_REQUIRED, max_window=MAX_WINDOW)
+    batch_seconds = online_seconds = max_diff = 0.0
+    windows_identical = True
+    windows: list[int] = []
+    constant = 0
+    for obs in observations[explore:]:
+        replay.append(obs.tick, obs.features, obs.costs)
+        started = time.perf_counter()
+        reference = batch.fit(replay.datasets())
+        batch_seconds += time.perf_counter() - started
+        started = time.perf_counter()
+        result = online.fit(replay)
+        online_seconds += time.perf_counter() - started
+
+        windows_identical &= reference.window_sizes == result.window_sizes
+        windows_identical &= reference.window_size == result.window_size
+        windows.append(result.window_size)
+        window = probe[replay.size - result.window_size : replay.size]
+        constant += bool(np.any(window.min(axis=0) == window.max(axis=0)))
+        expected, actual = reference.predict_batch(probe), result.predict_batch(probe)
+        for metric, column in expected.items():
+            scale = np.maximum(np.abs(column), 1e-9)
+            max_diff = max(max_diff, float(np.max(np.abs(column - actual[metric]) / scale)))
+
+    return ConstantColumnReport(
+        ticks=ticks,
+        batch_seconds=batch_seconds,
+        online_seconds=online_seconds,
+        max_relative_difference=max_diff,
+        windows_identical=windows_identical,
+        mean_window=float(np.mean(windows)),
+        constant_share=constant / ticks,
+    )
+
+
 def format_report(report: IncrementalReport) -> str:
     lines = [
         "Incremental DREAM vs seed batch path (Example 3.1-scale QEP space)",
@@ -157,6 +257,23 @@ def format_report(report: IncrementalReport) -> str:
     return "\n".join(lines)
 
 
+def format_constant_column(report: ConstantColumnReport) -> str:
+    lines = [
+        "",
+        "Constant-column history (one plan chosen every tick): online vs batch",
+        "---------------------------------------------------------------------",
+        f"ticks                         : {report.ticks}",
+        f"chosen windows with a constant column : {report.constant_share:.0%}",
+        f"mean DREAM window             : {report.mean_window:.1f}",
+        f"batch DreamEstimator          : {report.batch_seconds * 1e3:8.1f} ms",
+        f"online (shared factorisation) : {report.online_seconds * 1e3:8.1f} ms",
+        f"speedup                       : {report.speedup:8.1f}x",
+        f"max relative prediction diff  : {report.max_relative_difference:.2e}",
+        f"windows identical             : {report.windows_identical}",
+    ]
+    return "\n".join(lines)
+
+
 def check_report(report: IncrementalReport) -> None:
     assert report.candidate_count >= 1000, report.candidate_count
     assert report.windows_identical
@@ -164,12 +281,22 @@ def check_report(report: IncrementalReport) -> None:
     assert report.speedup >= 5.0, f"speedup only {report.speedup:.1f}x"
 
 
+def check_constant_column(report: ConstantColumnReport) -> None:
+    assert report.constant_share >= 0.5, report.constant_share
+    assert report.windows_identical
+    assert report.max_relative_difference <= 1e-6
+
+
 def test_dream_incremental_speedup(benchmark):
     from conftest import record_result
 
     report = benchmark.pedantic(run_dream_incremental, rounds=1, iterations=1)
-    record_result("dream_incremental", format_report(report))
+    constant = run_constant_column()
+    record_result(
+        "dream_incremental", format_report(report) + format_constant_column(constant)
+    )
     check_report(report)
+    check_constant_column(constant)
 
 
 if __name__ == "__main__":
@@ -179,5 +306,8 @@ if __name__ == "__main__":
     )
     arguments = parser.parse_args()
     final = run_dream_incremental(quick=arguments.quick)
+    constant_column = run_constant_column(quick=arguments.quick)
     print(format_report(final))
+    print(format_constant_column(constant_column))
     check_report(final)
+    check_constant_column(constant_column)

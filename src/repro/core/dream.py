@@ -37,6 +37,27 @@ Two estimators implement the algorithm:
   equations (:class:`~repro.ml.linear.RecursiveLeastSquares`) instead of
   an O(m L^2) refit.
 
+Rank-deficient windows take the batch fallback of the online search.
+When the optimizer keeps choosing one plan, its node and engine columns
+repeat on every recent row; a constant column is a multiple of the
+intercept, so such a window is singular and can never pass the RLS
+conditioning check.  The search keeps per-column min/max as the window
+widens (as it keeps target min/max) and, on a window with a constant
+column:
+
+* skips the conditioning check and its SVD;
+* refits on the batch oracle's exact path, computing the design-only
+  part of that fit (:class:`~repro.ml.linear.WindowFactorisation`:
+  normal matrix, solve-or-pinv, pinv leverages) once per window and
+  sharing it across every metric still pending at that window;
+* does not fold rows into the metrics' RLS states.  Columns only stop
+  being constant as the window widens, so each RLS is folded on reaching
+  the first window without one, in the order widening would have folded
+  it.
+
+Windows, models and scores are bitwise those of per-metric refits with
+eager folding.
+
 Both estimators freeze a metric's model at its first convergence (its
 R^2 met the requirement at window ``m``); later widening steps — forced
 by slower metrics — neither refit it nor allow its reported R^2 to drop
@@ -61,6 +82,7 @@ from repro.ml.dataset import Dataset
 from repro.ml.linear import (
     MultipleLinearRegression,
     RecursiveLeastSquares,
+    WindowFactorisation,
     minimum_observations,
 )
 
@@ -377,19 +399,20 @@ class OnlineDreamEstimator(DreamEstimator):
         total = self._seen
         dimension = len(history.feature_names)
         m, m_max = self._window_bounds(dimension, total)
+        first = m
 
         X = self._features
+        # Per-column range of the window: a column with min == max is
+        # constant, so the window is rank-deficient (see below).
+        col_min = X[total - m : total].min(axis=0)
+        col_max = X[total - m : total].max(axis=0)
         states: dict[str, RecursiveLeastSquares] = {}
         mins: dict[str, float] = {}
         maxs: dict[str, float] = {}
         track_press = self.r2_mode == "press"
         for metric in metrics:
-            rls = RecursiveLeastSquares(dimension, track_press=track_press)
-            y = self._metric_targets[metric]
-            for i in range(total - m, total):
-                rls.update(X[i], y[i])
-            states[metric] = rls
-            window = y[total - m : total]
+            states[metric] = RecursiveLeastSquares(dimension, track_press=track_press)
+            window = self._metric_targets[metric][total - m : total]
             mins[metric] = float(window.min())
             maxs[metric] = float(window.max())
 
@@ -400,13 +423,19 @@ class OnlineDreamEstimator(DreamEstimator):
         pending = set(metrics)
 
         while True:
+            # A constant column is a multiple of the intercept: the
+            # window can never pass ``well_conditioned`` and takes the
+            # batch path without its SVD (see RecursiveLeastSquares).
+            constant = bool(np.any(col_min == col_max))
+            shared: WindowFactorisation | None = None
             for metric in metrics:
                 if metric not in pending:
                     continue
                 rls = states[metric]
-                window_x = X[total - m : total]
                 window_y = self._metric_targets[metric][total - m : total]
-                if rls.well_conditioned():
+                if not constant:
+                    self._fold_to(rls, metric, total, first, m)
+                if not constant and rls.well_conditioned():
                     if self.r2_mode == "press":
                         # Rank-one PRESS: the leverages/residuals were
                         # carried through each update, so this is O(m)
@@ -419,11 +448,14 @@ class OnlineDreamEstimator(DreamEstimator):
                 else:
                     # Rank-deficient window: the normal-equation shortcut
                     # loses too many digits; take the oracle's exact path
-                    # (full refit) for this window so incremental and
-                    # batch stay equivalent.  The RLS statistics keep
-                    # accumulating for later, better-conditioned windows.
-                    model = MultipleLinearRegression()
-                    model.fit(window_x, window_y)
+                    # so incremental and batch stay equivalent.  The
+                    # design-only part of that fit is computed once per
+                    # window and shared by every metric refitted on it.
+                    if shared is None:
+                        shared = WindowFactorisation(
+                            np.hstack([np.ones((m, 1)), X[total - m : total]])
+                        )
+                    model = MultipleLinearRegression.fit_window(shared, window_y)
                     models[metric] = model
                     score = (
                         model.press_r_squared_
@@ -451,11 +483,33 @@ class OnlineDreamEstimator(DreamEstimator):
                 )
             m += 1
             oldest = total - m  # the one older row the wider window adds
+            np.minimum(col_min, X[oldest], out=col_min)
+            np.maximum(col_max, X[oldest], out=col_max)
             for metric in pending:
                 y = float(self._metric_targets[metric][oldest])
-                states[metric].update(X[oldest], y)
                 mins[metric] = min(mins[metric], y)
                 maxs[metric] = max(maxs[metric], y)
+
+    def _fold_to(
+        self, rls: RecursiveLeastSquares, metric: str, total: int, first: int, m: int
+    ) -> None:
+        """Bring ``rls`` up to the window of the last ``m`` rows.
+
+        Rows always fold in one order: the first window oldest-first,
+        then one older row per widening step.  The search calls this only
+        once windows have no constant column.  Until then nothing reads
+        the RLS, and an RLS nothing has read keeps a stale inverse and an
+        invalid PRESS carry, so its updates only accumulate sums: folding
+        the same rows in the same order later leaves it bitwise where
+        folding them one step at a time would.
+        """
+        X = self._features
+        y = self._metric_targets[metric]
+        if rls.count == 0:
+            for i in range(total - first, total):
+                rls.update(X[i], y[i])
+        for i in range(total - rls.count - 1, total - m - 1, -1):
+            rls.update(X[i], float(y[i]))
 
     def estimate_cost_values(  # type: ignore[override]
         self, history: ExecutionHistory, features

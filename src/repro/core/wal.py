@@ -23,8 +23,9 @@ one of two outcomes:
 
 Segments are named ``wal-<n>.log`` and rotate at every compacting
 checkpoint; the checkpoint file itself is one framed record written to a
-temp file, fsynced, then atomically renamed — so a half-written
-checkpoint can never shadow a good one.
+temp file, fsynced, then atomically renamed (and the rename fsynced via
+the directory) — so a half-written checkpoint can never shadow a good
+one.
 """
 
 from __future__ import annotations
@@ -191,13 +192,19 @@ class WalWriter:
         self._closed = True
 
 
-def write_checkpoint(directory: Path, payload: dict) -> None:
+def write_checkpoint(directory: Path, payload: dict, fsync: str = "batch") -> None:
     """Atomically replace the directory's checkpoint.
 
     The payload is framed exactly like a WAL record (so a flipped bit is
     caught by the same CRC32), written to a temp file, fsynced, then
     renamed over :data:`CHECKPOINT_NAME` — readers see either the old
     checkpoint or the new one, never a torn hybrid.
+
+    Unless ``fsync`` is ``"off"``, the directory is fsynced after the
+    rename, so the rename is on stable storage before the caller unlinks
+    the segments the checkpoint supersedes.  Without it an OS crash can
+    keep those unlinks and lose the rename: the old checkpoint comes
+    back, and the segments that led from it to the new one are gone.
     """
     directory = Path(directory)
     tmp = directory / _CHECKPOINT_TMP
@@ -206,6 +213,12 @@ def write_checkpoint(directory: Path, payload: dict) -> None:
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, directory / CHECKPOINT_NAME)
+    if fsync != "off":
+        descriptor = os.open(directory, os.O_RDONLY)
+        try:
+            os.fsync(descriptor)
+        finally:
+            os.close(descriptor)
 
 
 def read_checkpoint(directory: Path) -> dict | None:

@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from repro.core import wal
@@ -123,6 +123,16 @@ class _JournalState:
     audit_checkpoint_count: int = 0
     checkpoint_rows: dict = field(default_factory=dict)
     checkpoint_lsn: int = 0
+
+
+#: ``AuditRecord``'s fields in declaration order; every one is a scalar,
+#: so a flat read gives what ``dataclasses.asdict`` gives without its
+#: recursive deep copy.
+_AUDIT_FIELDS = tuple(item.name for item in fields(AuditRecord))
+
+
+def _audit_fields(record: AuditRecord) -> dict:
+    return {name: getattr(record, name) for name in _AUDIT_FIELDS}
 
 
 class DurabilityManager:
@@ -209,7 +219,10 @@ class DurabilityManager:
         self._append({"t": "tick", "gw": gw})
 
     def note_audit(self, record: AuditRecord) -> None:
-        self._append({"t": "audit", "record": asdict(record)})
+        with self._lock:
+            if self.pending or self._closed:
+                return  # journaling suspended: _append would drop it
+            self._append({"t": "audit", "record": _audit_fields(record)})
 
     def note_fit(self, key: str, version: int) -> None:
         with self._lock:
@@ -266,7 +279,7 @@ class DurabilityManager:
             "segment": self._segment + 1,
             "state": self._snapshot(),
         }
-        wal.write_checkpoint(self._directory, payload)
+        wal.write_checkpoint(self._directory, payload, fsync=self.config.fsync)
         self._open_segment(self._segment + 1)
         for segment in wal.list_segments(self._directory):
             if wal.segment_number(segment) < self._segment:
@@ -296,7 +309,9 @@ class DurabilityManager:
             "rows": rows,
             "routes": self._routes,
             "workers": self._workers,
-            "audit": None if audit is None else [asdict(r) for r in audit.records()],
+            "audit": (
+                None if audit is None else [_audit_fields(r) for r in audit.records()]
+            ),
             "audit_head": None if audit is None else audit.head_hash,
             "rng": (
                 simulator.rng_state()

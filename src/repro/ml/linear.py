@@ -8,7 +8,10 @@ returns the minimum-norm solution instead of failing.
 Two implementations share the algebra:
 
 * :class:`MultipleLinearRegression` — the batch fit/predict regressor
-  used by the BML pool and kept as DREAM's reference oracle.
+  used by the BML pool and kept as DREAM's reference oracle.  Its fit
+  runs on a :class:`WindowFactorisation`, the design-only half of the
+  solve (normal matrix, the solve-or-pinv branch, the pinv leverages),
+  which DREAM shares across every metric fitted on one window.
 * :class:`RecursiveLeastSquares` — an incremental core for Algorithm 1's
   ``m += 1`` loop: the normal matrix ``A^T A`` and moment vector
   ``A^T c`` grow by rank-one updates and the inverse is maintained with
@@ -28,11 +31,14 @@ import numpy as np
 
 from repro.common.errors import EstimationError
 from repro.ml.base import Regressor
-from repro.ml.metrics import r_squared
+from repro.ml.metrics import r_squared_from, total_sum_of_squares
 
 
 def press_r_squared_from(
-    residuals: np.ndarray, leverages: np.ndarray, targets: np.ndarray
+    residuals: np.ndarray,
+    leverages: np.ndarray,
+    targets: np.ndarray,
+    sst: float | None = None,
 ) -> float:
     """Leave-one-out R^2 = 1 - PRESS/SST from per-row components.
 
@@ -40,14 +46,17 @@ def press_r_squared_from(
     leverage clip, SST zero convention, clamp at -1): the batch fit, the
     recursive window form, and the incremental carry all feed their
     residuals/leverages through here, so the 1e-9 batch-equivalence
-    contract cannot drift between implementations.
+    contract cannot drift between implementations.  ``sst`` is the
+    targets' :func:`~repro.ml.metrics.total_sum_of_squares`, for a
+    caller that already computed it.
 
     Leverage ~1 means the point is interpolated: its LOO residual
     diverges, which correctly reads as "no predictive evidence".
     """
     denominator = np.clip(1.0 - leverages, 1e-6, None)
     press = float(np.sum((residuals / denominator) ** 2))
-    sst = float(np.sum((targets - targets.mean()) ** 2))
+    if sst is None:
+        sst = float(np.sum((targets - targets.mean()) ** 2))
     if sst == 0.0:
         return 1.0 if press == 0.0 else -1.0
     return max(-1.0, 1.0 - press / sst)
@@ -60,6 +69,45 @@ def minimum_observations(dimension: int) -> int:
     degree of freedom exists.
     """
     return dimension + 2
+
+
+class WindowFactorisation:
+    """The design-only half of an OLS fit, shared by every target on it.
+
+    For one design matrix (intercept column first) this holds the normal
+    matrix ``A^T A``, whether ``numpy.linalg.solve`` raises on it (which
+    depends on the matrix alone), ``pinv(A)`` once it has, and the
+    hat-matrix diagonal from ``pinv(A^T A)``.  Each is computed on first
+    use by the same numpy call the batch fit has always made, so fitting
+    any number of targets on one factorisation gives, per target,
+    bitwise the coefficients and scores of a separate fit — with one
+    ``pinv(A)`` and one ``pinv(A^T A)`` per window instead of one each
+    per target.
+    """
+
+    def __init__(self, design: np.ndarray):
+        self.design = design
+        self.normal = design.T @ design
+        self._pinv_design: np.ndarray | None = None
+        self._leverages: np.ndarray | None = None
+
+    def coefficients(self, targets: np.ndarray) -> np.ndarray:
+        """Eq. 12's solution for ``targets`` (minimum-norm if singular)."""
+        if self._pinv_design is None:
+            try:
+                return np.linalg.solve(self.normal, self.design.T @ targets)
+            except np.linalg.LinAlgError:
+                self._pinv_design = np.linalg.pinv(self.design)
+        return self._pinv_design @ targets
+
+    @property
+    def leverages(self) -> np.ndarray:
+        """Hat-matrix diagonal ``h_ii`` of every design row."""
+        if self._leverages is None:
+            self._leverages = np.einsum(
+                "ij,jk,ik->i", self.design, np.linalg.pinv(self.normal), self.design
+            )
+        return self._leverages
 
 
 class MultipleLinearRegression(Regressor):
@@ -86,25 +134,29 @@ class MultipleLinearRegression(Regressor):
         return np.hstack([np.ones((features.shape[0], 1)), features])
 
     def _fit(self, features: np.ndarray, targets: np.ndarray) -> None:
-        design = self._design(features)
-        normal = design.T @ design
-        try:
-            self.coefficients_ = np.linalg.solve(normal, design.T @ targets)
-        except np.linalg.LinAlgError:
-            self.coefficients_ = np.linalg.pinv(design) @ targets
-        fitted = design @ self.coefficients_
-        self.r_squared_ = r_squared(targets, fitted)
-        self.press_r_squared_ = self._press_r_squared(design, targets, fitted)
+        self._fit_on(WindowFactorisation(self._design(features)), targets)
 
-    @staticmethod
-    def _press_r_squared(
-        design: np.ndarray, targets: np.ndarray, fitted: np.ndarray
-    ) -> float:
-        """Leave-one-out R^2 = 1 - PRESS/SST (clipped below at -1)."""
-        residuals = targets - fitted
-        pinv_normal = np.linalg.pinv(design.T @ design)
-        leverages = np.einsum("ij,jk,ik->i", design, pinv_normal, design)
-        return press_r_squared_from(residuals, leverages, targets)
+    def _fit_on(self, window: "WindowFactorisation", targets: np.ndarray) -> None:
+        self.coefficients_ = window.coefficients(targets)
+        residuals = targets - window.design @ self.coefficients_
+        # One SST for both scores: training R^2 (Eq. 14) and PRESS R^2.
+        sst = total_sum_of_squares(targets)
+        self.r_squared_ = r_squared_from(float(np.sum(residuals**2)), sst)
+        self.press_r_squared_ = press_r_squared_from(
+            residuals, window.leverages, targets, sst=sst
+        )
+
+    @classmethod
+    def fit_window(
+        cls, window: "WindowFactorisation", targets: np.ndarray
+    ) -> "MultipleLinearRegression":
+        """A model fitted on ``window``'s design: bitwise what
+        ``fit(features, targets)`` returns for the same window rows."""
+        model = cls()
+        model._dimension = window.design.shape[1] - 1
+        model._fit_on(window, np.asarray(targets, dtype=float))
+        model._fitted = True
+        return model
 
     def _predict(self, features: np.ndarray) -> np.ndarray:
         return self._design(features) @ self.coefficients_
@@ -347,24 +399,16 @@ class RecursiveLeastSquares:
     def _press_recompute(self) -> None:
         """Exact leverages/residuals on the batch oracle's code path.
 
-        Mirrors :meth:`MultipleLinearRegression._fit` operation for
-        operation (same normal matrix built from the same rows, same
-        solve-then-pinv fallback, same pinv leverages) so the tracked
-        statistic matches the batch fit bitwise whenever the rank-one
-        carry is unavailable — including rank-deficient windows.
+        Runs the batch fit's own :class:`WindowFactorisation` on the
+        tracked rows, so the tracked statistic matches the batch fit
+        bitwise whenever the rank-one carry is unavailable — including
+        rank-deficient windows.
         """
         m = self._window_used
-        design = self._design_buf[:m]
+        window = WindowFactorisation(self._design_buf[:m])
         targets = self._target_buf[:m]
-        normal = design.T @ design
-        try:
-            beta = np.linalg.solve(normal, design.T @ targets)
-        except np.linalg.LinAlgError:
-            beta = np.linalg.pinv(design) @ targets
-        self._resid_buf[:m] = targets - design @ beta
-        self._lev_buf[:m] = np.einsum(
-            "ij,jk,ik->i", design, np.linalg.pinv(normal), design
-        )
+        self._resid_buf[:m] = targets - window.design @ window.coefficients(targets)
+        self._lev_buf[:m] = window.leverages
         self._press_valid = True
 
     def _press_carry_trustworthy(self) -> bool:
@@ -411,6 +455,13 @@ class RecursiveLeastSquares:
         callers should refit that window with the batch path instead.  A
         False result also marks the maintained inverse stale, forcing a
         fresh factorisation once the window is well-conditioned again.
+
+        A window with a constant feature column always reads False: that
+        column is a multiple of the intercept, so the normal matrix is
+        singular up to rounding and its condition number is at least
+        about ``1 / (count * (dimension + 1) * eps)``, above the default
+        ``max_condition`` for any window of fewer than ~10^6 rows.  DREAM
+        relies on this to skip the SVD on such windows.
         """
         if self._count == 0:
             return False

@@ -45,8 +45,13 @@ def r_squared(actual, predicted) -> float:
     0.0 otherwise, matching the usual convention.
     """
     actual, predicted = _as_arrays(actual, predicted)
-    sst = total_sum_of_squares(actual)
-    sse = sum_squared_errors(actual, predicted)
+    return r_squared_from(
+        sum_squared_errors(actual, predicted), total_sum_of_squares(actual)
+    )
+
+
+def r_squared_from(sse: float, sst: float) -> float:
+    """R^2 from SSE and SST already in hand (same SST = 0 convention)."""
     if sst == 0.0:
         return 1.0 if sse == 0.0 else 0.0
     return 1.0 - sse / sst

@@ -10,6 +10,10 @@ Three layers of guarantees:
    ``default_federation_load`` drift scenario (equivalence test).
 3. The batched prediction path (``DreamResult.predict_batch``,
    ``MultiCostModel.predict_batch``) matches the per-row path exactly.
+4. Rank-deficient windows: a constant column never passes the
+   conditioning check (so skipping it is safe), the per-window shared
+   factorisation is bitwise the batch fit, and an RLS folded late is
+   bitwise one folded eagerly.
 """
 
 import numpy as np
@@ -22,7 +26,8 @@ from repro.common.errors import EstimationError
 from repro.common.rng import RngStream
 from repro.core import DreamEstimator, ExecutionHistory, OnlineDreamEstimator
 from repro.ires.modelling import DreamStrategy
-from repro.ml import MultipleLinearRegression, RecursiveLeastSquares
+from repro.ml import MultipleLinearRegression, RecursiveLeastSquares, r_squared
+from repro.ml.linear import WindowFactorisation, press_r_squared_from
 
 
 def random_regression(seed: int, n: int, dimension: int):
@@ -258,3 +263,211 @@ class TestBatchedPrediction:
         a, b = incremental.predict(x), reference.predict(x)
         for metric in b:
             assert a[metric] == pytest.approx(b[metric], rel=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# Rank-deficient windows: constant columns, the shared factorisation and
+# the deferred RLS fold.
+
+CONSTANTS = (0.0, 1e-300, -1e-300, 1e-8, -1e-8, 1.0, -1.0, 1e8, -1e8, 1e200, -1e200)
+
+
+def historical_fit(features, targets):
+    """The batch fit as it ran before fits shared a factorisation: one
+    solve-or-pinv and one pinv leverage pass per target."""
+    design = np.hstack([np.ones((features.shape[0], 1)), features])
+    normal = design.T @ design
+    try:
+        coefficients = np.linalg.solve(normal, design.T @ targets)
+    except np.linalg.LinAlgError:
+        coefficients = np.linalg.pinv(design) @ targets
+    fitted = design @ coefficients
+    residuals = targets - fitted
+    pinv_normal = np.linalg.pinv(design.T @ design)
+    leverages = np.einsum("ij,jk,ik->i", design, pinv_normal, design)
+    return (
+        coefficients,
+        r_squared(targets, fitted),
+        press_r_squared_from(residuals, leverages, targets),
+    )
+
+
+def assert_same_fit(model, coefficients, r2, press):
+    assert np.array_equal(model.coefficients_, coefficients)
+    assert repr(model.r_squared_) == repr(r2)
+    assert repr(model.press_r_squared_) == repr(press)
+
+
+def rls_state(rls):
+    """Everything a later query of the RLS can read."""
+    used = rls._window_used
+    return (
+        rls._xtx.tobytes(),
+        rls._xty.tobytes(),
+        repr(rls._sum_y),
+        repr(rls._sum_y2),
+        rls._count,
+        None if rls._inverse is None else rls._inverse.tobytes(),
+        rls._singular,
+        rls._press_valid,
+        rls._design_buf[:used].tobytes(),
+        rls._target_buf[:used].tobytes(),
+    )
+
+
+class TestConstantColumnWindows:
+    @given(
+        dimension=st.integers(min_value=1, max_value=6),
+        extra=st.integers(min_value=0, max_value=38),
+        constant=st.sampled_from(CONSTANTS),
+        column=st.integers(min_value=0, max_value=5),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_constant_column_is_never_well_conditioned(
+        self, dimension, extra, constant, column, seed
+    ):
+        """The skip DREAM takes is safe: any window with a constant
+        column fails the conditioning check it no longer runs."""
+        m = min(dimension + 2 + extra, 40)
+        rng = np.random.default_rng(seed)
+        features = rng.uniform(-1e3, 1e3, size=(m, dimension))
+        features[:, column % dimension] = constant
+        targets = rng.normal(0.0, 10.0, size=m)
+        rls = RecursiveLeastSquares(dimension, track_press=True)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            for i in range(m):
+                rls.update(features[i], targets[i])
+            assert rls.well_conditioned() is False
+
+    @pytest.mark.parametrize("metric_count", [1, 2, 3])
+    @pytest.mark.parametrize("singular", [True, False])
+    def test_shared_factorisation_is_bitwise_the_batch_fit(self, metric_count, singular):
+        rng = np.random.default_rng(17 + metric_count)
+        features = rng.uniform(1.0, 9.0, size=(12, 3))
+        if singular:
+            features[:, 1] = 4.0  # a multiple of the intercept
+            features[:, 2] = 2.0 * features[:, 0]  # and a collinear pair
+        window = WindowFactorisation(
+            np.hstack([np.ones((features.shape[0], 1)), features])
+        )
+        for k in range(metric_count):
+            targets = features @ rng.uniform(-2, 2, size=3) + rng.normal(0, 0.1, 12)
+            shared = MultipleLinearRegression.fit_window(window, targets)
+            alone = MultipleLinearRegression().fit(features, targets)
+            assert_same_fit(
+                shared, alone.coefficients_, alone.r_squared_, alone.press_r_squared_
+            )
+            assert_same_fit(shared, *historical_fit(features, targets))
+            assert np.array_equal(shared.predict(features), alone.predict(features))
+        assert (window._pinv_design is not None) is singular
+
+    def test_late_fold_equals_eager_updates(self):
+        """The search's deferred fold, run at the first non-constant
+        window and on past it, leaves the RLS bitwise where eager
+        updates (with a failed conditioning check at every constant
+        window) leave it."""
+        rng = np.random.default_rng(5)
+        n, recent = 24, 15
+        history = ExecutionHistory(("a", "b", "engine"), ("time",))
+        for tick in range(n):
+            a, b = (float(v) for v in rng.uniform(1.0, 9.0, size=2))
+            engine = 1.0 if tick >= n - recent else float(rng.integers(0, 2))
+            time = 0.5 * a - b + 2.0 * engine + float(rng.normal(0, 0.2))
+            history.append(tick, {"a": a, "b": b, "engine": engine}, {"time": time})
+        online = OnlineDreamEstimator()
+        online._fold_new(history)
+        features, targets = online._features, online._metric_targets["time"]
+        first = 5  # L + 2
+        order = list(range(n - first, n)) + list(range(n - first - 1, -1, -1))
+        eager = RecursiveLeastSquares(3, track_press=True)
+        late = RecursiveLeastSquares(3, track_press=True)
+        compared = 0
+        for step, i in enumerate(order):
+            eager.update(features[i], targets[i])
+            m = step + 1
+            if m < first:
+                continue
+            window = features[n - m :]
+            if np.any(window.min(axis=0) == window.max(axis=0)):
+                assert eager.well_conditioned() is False
+                continue
+            online._fold_to(late, "time", n, first, m)
+            assert rls_state(late) == rls_state(eager)
+            assert eager.well_conditioned() and late.well_conditioned()
+            assert repr(late.press_r_squared_tracked()) == repr(
+                eager.press_r_squared_tracked()
+            )
+            assert np.array_equal(late.coefficients, eager.coefficients)
+            compared += 1
+        assert late.count == n > recent + 1 and compared >= 3
+
+    def test_constant_recent_rows_varying_older_rows(self):
+        """The chosen plan's node column is constant over recent rows and
+        varies further back; one metric converges inside the constant
+        zone, the other only past it.  Windows match the batch oracle,
+        and a model fitted on a constant-column window is bitwise the
+        oracle's (both ran the batch fit)."""
+        rng = np.random.default_rng(29)
+        metrics = ("time", "money")
+        history = ExecutionHistory(("size", "nodes"), metrics)
+        n, recent = 60, 12
+        for tick in range(n):
+            size = float(rng.uniform(10, 100))
+            nodes = 4.0 if tick >= n - recent else float(rng.integers(2, 9))
+            time = 3.0 + 0.5 * size / nodes + float(rng.normal(0, 1.5))
+            money = 0.01 * size + 0.002 * nodes
+            history.append(tick, {"size": size, "nodes": nodes}, {"time": time, "money": money})
+        online = OnlineDreamEstimator(r2_required={"time": 0.95, "money": 0.8})
+        batch = DreamEstimator(r2_required={"time": 0.95, "money": 0.8})
+        incremental = online.fit(history)
+        reference = batch.fit(history.datasets())
+        assert incremental.window_sizes == reference.window_sizes
+        assert incremental.window_size == reference.window_size
+        assert incremental.window_sizes["money"] <= recent
+        assert incremental.window_sizes["time"] > recent
+        money = incremental.models["money"]
+        assert np.array_equal(
+            money.coefficients_, reference.models["money"].coefficients_
+        )
+        assert repr(incremental.r_squared["money"]) == repr(
+            reference.r_squared["money"]
+        )
+        probe = np.array([55.0, 3.0])
+        assert incremental.predict_metric("time", probe) == pytest.approx(
+            reference.predict_metric("time", probe), rel=1e-6
+        )
+
+    def test_constant_windows_skip_the_svd_and_the_rls(self, monkeypatch):
+        """While every window has a constant column, the search neither
+        runs the conditioning check nor folds a row into any RLS."""
+        calls = {"well_conditioned": 0, "update": 0}
+        original_check = RecursiveLeastSquares.well_conditioned
+        original_update = RecursiveLeastSquares.update
+
+        def counting_check(self, *args, **kwargs):
+            calls["well_conditioned"] += 1
+            return original_check(self, *args, **kwargs)
+
+        def counting_update(self, *args, **kwargs):
+            calls["update"] += 1
+            return original_update(self, *args, **kwargs)
+
+        monkeypatch.setattr(RecursiveLeastSquares, "well_conditioned", counting_check)
+        monkeypatch.setattr(RecursiveLeastSquares, "update", counting_update)
+
+        def fit(engine_of_tick):
+            rng = np.random.default_rng(3)
+            history = ExecutionHistory(("size", "engine"), ("time",))
+            for tick in range(30):
+                features = {"size": float(rng.uniform(10, 100)), "engine": engine_of_tick(tick)}
+                history.append(tick, features, {"time": float(rng.normal(5, 2))})
+            return OnlineDreamEstimator(r2_required=0.99, max_window=25).fit(history)
+
+        result = fit(lambda tick: 1.0)
+        assert result.window_size == 25 and not result.converged
+        assert calls == {"well_conditioned": 0, "update": 0}
+        # The engine column varies in rows older than the 10 most recent:
+        # from window 11 on, every window runs the check on a folded RLS.
+        fit(lambda tick: 1.0 if tick >= 20 else float((tick + 1) % 2))
+        assert calls == {"well_conditioned": 25 - 10, "update": 25}

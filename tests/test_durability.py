@@ -14,6 +14,11 @@ Layered like the subsystem itself:
   (ROADMAP 4c), chain survival across recovery.
 """
 
+import os
+import stat
+from dataclasses import asdict
+from pathlib import Path
+
 import pytest
 
 from repro.core import wal
@@ -129,6 +134,52 @@ class TestWalPrimitives:
         # invisible to readers.
         (tmp_path / "checkpoint.tmp").write_bytes(b"\x00garbage")
         assert wal.read_checkpoint(tmp_path)["lsn"] == 2
+
+    @pytest.mark.parametrize("fsync", ["batch", "off"])
+    def test_checkpoint_rename_is_fsynced_before_segments_are_unlinked(
+        self, tmp_path, monkeypatch, fsync
+    ):
+        """An OS crash must not keep the unlinks of superseded segments
+        and lose the checkpoint rename that superseded them."""
+        events = []
+        real_fsync, real_replace, real_unlink = os.fsync, os.replace, Path.unlink
+
+        def spy_fsync(descriptor):
+            is_dir = stat.S_ISDIR(os.fstat(descriptor).st_mode)
+            events.append("fsync-dir" if is_dir else "fsync-file")
+            real_fsync(descriptor)
+
+        def spy_replace(source, target):
+            events.append("replace")
+            real_replace(source, target)
+
+        def spy_unlink(path, *args, **kwargs):
+            events.append("unlink")
+            real_unlink(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "fsync", spy_fsync)
+        monkeypatch.setattr(os, "replace", spy_replace)
+        monkeypatch.setattr(Path, "unlink", spy_unlink)
+        config = durable_config("threaded", tmp_path, fsync=fsync, checkpoint_every=4)
+        midas = MidasSystem(patient_count=250, seed=73, config=config)
+        try:
+            drive_observes(midas.gateway, 12)
+        finally:
+            midas.gateway.close()
+        assert events.count("replace") >= 2 and "unlink" in events
+        checkpoint_events = [e for e in events if e != "fsync-file"]
+        if fsync == "off":
+            assert "fsync-dir" not in events
+            return
+        for i, event in enumerate(checkpoint_events):
+            if event == "unlink":
+                last_replace = max(
+                    j for j in range(i) if checkpoint_events[j] == "replace"
+                )
+                assert "fsync-dir" in checkpoint_events[last_replace:i]
+        assert checkpoint_events.count("fsync-dir") == checkpoint_events.count(
+            "replace"
+        )
 
     def test_damaged_checkpoint_raises(self, tmp_path):
         wal.write_checkpoint(tmp_path, {"lsn": 7})
@@ -387,6 +438,44 @@ class TestAuditPersistence:
         raw[len(raw) // 2] ^= 0x01
         chain_path.write_bytes(bytes(raw))
         assert not verify_chain_file(chain_path)
+
+    def test_journaled_audit_bytes_match_the_dataclass_encoding(self, tmp_path):
+        """The flat field read journals the exact bytes ``asdict`` did."""
+        midas = self._durable_audited(tmp_path)
+        try:
+            drive_observes(midas.gateway, 5)
+            records = midas.gateway.audit_log.records()
+        finally:
+            midas.gateway.close()
+        raw = b"".join(path.read_bytes() for path in wal.list_segments(tmp_path))
+        journaled = [
+            payload
+            for path in wal.list_segments(tmp_path)
+            for payload in wal.scan_segment(path).records
+            if payload["t"] == "audit"
+        ]
+        assert len(journaled) == len(records) == 5
+        for payload, record in zip(journaled, records):
+            expected = {"t": "audit", "record": asdict(record), "lsn": payload["lsn"]}
+            assert wal.encode_record(expected) in raw
+
+    def test_audit_is_not_journaled_while_suspended(self, tmp_path):
+        midas = self._durable_audited(tmp_path)
+        try:
+            drive_observes(midas.gateway, 2)
+            record = midas.gateway.audit_log.records()[-1]
+            manager = midas.gateway._durability
+            lsn = manager._lsn
+            manager.pending = True
+            manager.note_audit(record)
+            assert manager._lsn == lsn
+            manager.pending = False
+            manager.note_audit(record)
+            assert manager._lsn == lsn + 1
+        finally:
+            midas.gateway.close()
+        manager.note_audit(record)  # closed: a quiet no-op
+        assert manager._lsn == lsn + 1
 
     def test_verify_chain_file_missing_or_empty(self, tmp_path):
         assert not verify_chain_file(tmp_path / "never-written.jsonl")
