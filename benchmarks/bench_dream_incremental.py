@@ -26,6 +26,14 @@ window and no conditioning SVD; it is timed against the batch
 :class:`DreamEstimator` refit alone, and must again choose identical
 windows and agree to 1e-6.
 
+A third row replays the same history with a **non-integer constant
+column**: the lineitem size feature held at 0.024993896484375 MiB on
+every row (the size ``repro demo --quick`` holds constant).  There
+``numpy.linalg.solve`` on the normal matrix can succeed with coefficients
+of order 1e16, so both paths must pick identical windows *and* every
+model must stay within 1e-6 of the minimum-norm ``pinv(A) @ c`` fit on
+its window, at the window's feature values and at sizes off the window.
+
 Run standalone:  PYTHONPATH=src python benchmarks/bench_dream_incremental.py [--quick]
 """
 
@@ -33,7 +41,7 @@ from __future__ import annotations
 
 import argparse
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -48,6 +56,9 @@ MAX_WINDOW = 40
 #: Optimizer calls per executed query (plan costing happens more often
 #: than execution — e.g. re-planning under different user policies).
 CALLS_PER_TICK = 2
+#: The held size of the non-integer constant-column row (MiB).
+HELD_SIZE_MIB = 0.024993896484375
+HELD_FEATURE = "size_lineitem_mib"
 
 
 @dataclass(frozen=True)
@@ -75,6 +86,9 @@ class ConstantColumnReport:
     mean_window: float
     #: Share of the online fits' chosen windows with a constant column.
     constant_share: float
+    #: Largest relative distance of any online or batch model from the
+    #: ``pinv`` fit on its window (None: not checked).
+    max_pinv_difference: float | None = None
 
     @property
     def speedup(self) -> float:
@@ -193,21 +207,58 @@ def _chosen_plan_history(
     return history
 
 
-def run_constant_column(quick: bool = False) -> ConstantColumnReport:
+def _relative_difference(expected: np.ndarray, actual: np.ndarray) -> float:
+    scale = np.maximum(np.abs(expected), 1e-9)
+    return float(np.max(np.abs(expected - actual) / scale))
+
+
+def _pinv_difference(result, replay: ExecutionHistory, probe: np.ndarray) -> float:
+    """Largest relative distance of ``result``'s raw models from the
+    minimum-norm fit on each metric's window, over the ``probe`` rows."""
+    names = replay.feature_names
+    rows = replay.observations
+    probe_design = np.hstack([np.ones((len(probe), 1)), probe])
+    worst = 0.0
+    for metric, model in result.models.items():
+        window = rows[replay.size - result.window_sizes[metric] :]
+        features = np.array([[obs.features[name] for name in names] for obs in window])
+        targets = np.array([obs.costs[metric] for obs in window])
+        design = np.hstack([np.ones((len(window), 1)), features])
+        expected = probe_design @ (np.linalg.pinv(design) @ targets)
+        worst = max(worst, _relative_difference(expected, model.predict(probe)))
+    return worst
+
+
+def run_constant_column(
+    quick: bool = False, held_size: float | None = None
+) -> ConstantColumnReport:
+    """The constant-column row; with ``held_size``, the lineitem size
+    feature is held at that value on every row and every model is also
+    checked against the ``pinv`` fit on its window."""
     explore = 20 if quick else 40
     ticks = 2 * MAX_WINDOW if quick else 4 * MAX_WINDOW
     source = _chosen_plan_history(_qep_space_workload(quick), explore, ticks)
     replay = ExecutionHistory(source.feature_names, source.metric_names)
     observations = source.observations
-    for obs in observations[:explore]:
-        replay.append(obs.tick, obs.features, obs.costs)
     probe = np.array(
         [[obs.features[name] for name in source.feature_names] for obs in observations]
     )
+    if held_size is not None:
+        # Probe at the held size and at the sizes actually sampled, which
+        # lie off every window.
+        held = probe.copy()
+        held[:, source.feature_names.index(HELD_FEATURE)] = held_size
+        probe = np.vstack([held, probe])
+        observations = [
+            replace(obs, features={**obs.features, HELD_FEATURE: held_size})
+            for obs in observations
+        ]
+    for obs in observations[:explore]:
+        replay.append(obs.tick, obs.features, obs.costs)
 
     batch = DreamEstimator(r2_required=R2_REQUIRED, max_window=MAX_WINDOW)
     online = OnlineDreamEstimator(r2_required=R2_REQUIRED, max_window=MAX_WINDOW)
-    batch_seconds = online_seconds = max_diff = 0.0
+    batch_seconds = online_seconds = max_diff = pinv_diff = 0.0
     windows_identical = True
     windows: list[int] = []
     constant = 0
@@ -227,8 +278,13 @@ def run_constant_column(quick: bool = False) -> ConstantColumnReport:
         constant += bool(np.any(window.min(axis=0) == window.max(axis=0)))
         expected, actual = reference.predict_batch(probe), result.predict_batch(probe)
         for metric, column in expected.items():
-            scale = np.maximum(np.abs(column), 1e-9)
-            max_diff = max(max_diff, float(np.max(np.abs(column - actual[metric]) / scale)))
+            max_diff = max(max_diff, _relative_difference(column, actual[metric]))
+        if held_size is not None:
+            pinv_diff = max(
+                pinv_diff,
+                _pinv_difference(reference, replay, probe),
+                _pinv_difference(result, replay, probe),
+            )
 
     return ConstantColumnReport(
         ticks=ticks,
@@ -238,6 +294,7 @@ def run_constant_column(quick: bool = False) -> ConstantColumnReport:
         windows_identical=windows_identical,
         mean_window=float(np.mean(windows)),
         constant_share=constant / ticks,
+        max_pinv_difference=None if held_size is None else pinv_diff,
     )
 
 
@@ -258,10 +315,15 @@ def format_report(report: IncrementalReport) -> str:
 
 
 def format_constant_column(report: ConstantColumnReport) -> str:
+    title = (
+        "Constant-column history (one plan chosen every tick): online vs batch"
+        if report.max_pinv_difference is None
+        else f"Same history, {HELD_FEATURE} held at {HELD_SIZE_MIB} MiB: vs pinv"
+    )
     lines = [
         "",
-        "Constant-column history (one plan chosen every tick): online vs batch",
-        "---------------------------------------------------------------------",
+        title,
+        "-" * len(title),
         f"ticks                         : {report.ticks}",
         f"chosen windows with a constant column : {report.constant_share:.0%}",
         f"mean DREAM window             : {report.mean_window:.1f}",
@@ -271,6 +333,10 @@ def format_constant_column(report: ConstantColumnReport) -> str:
         f"max relative prediction diff  : {report.max_relative_difference:.2e}",
         f"windows identical             : {report.windows_identical}",
     ]
+    if report.max_pinv_difference is not None:
+        lines.append(
+            f"max relative diff from pinv   : {report.max_pinv_difference:.2e}"
+        )
     return "\n".join(lines)
 
 
@@ -285,6 +351,8 @@ def check_constant_column(report: ConstantColumnReport) -> None:
     assert report.constant_share >= 0.5, report.constant_share
     assert report.windows_identical
     assert report.max_relative_difference <= 1e-6
+    if report.max_pinv_difference is not None:
+        assert report.max_pinv_difference <= 1e-6, report.max_pinv_difference
 
 
 def test_dream_incremental_speedup(benchmark):
@@ -292,11 +360,16 @@ def test_dream_incremental_speedup(benchmark):
 
     report = benchmark.pedantic(run_dream_incremental, rounds=1, iterations=1)
     constant = run_constant_column()
+    held = run_constant_column(held_size=HELD_SIZE_MIB)
     record_result(
-        "dream_incremental", format_report(report) + format_constant_column(constant)
+        "dream_incremental",
+        format_report(report)
+        + format_constant_column(constant)
+        + format_constant_column(held),
     )
     check_report(report)
     check_constant_column(constant)
+    check_constant_column(held)
 
 
 if __name__ == "__main__":
@@ -307,7 +380,10 @@ if __name__ == "__main__":
     arguments = parser.parse_args()
     final = run_dream_incremental(quick=arguments.quick)
     constant_column = run_constant_column(quick=arguments.quick)
+    held_column = run_constant_column(quick=arguments.quick, held_size=HELD_SIZE_MIB)
     print(format_report(final))
     print(format_constant_column(constant_column))
+    print(format_constant_column(held_column))
     check_report(final)
     check_constant_column(constant_column)
+    check_constant_column(held_column)

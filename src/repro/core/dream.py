@@ -47,9 +47,14 @@ column:
 
 * skips the conditioning check and its SVD;
 * refits on the batch oracle's exact path, computing the design-only
-  part of that fit (:class:`~repro.ml.linear.WindowFactorisation`:
-  normal matrix, solve-or-pinv, pinv leverages) once per window and
-  sharing it across every metric still pending at that window;
+  part of that fit (:class:`~repro.ml.linear.WindowFactorisation`) once
+  per window and sharing it across every metric still pending at that
+  window.  That part is one SVD, ``pinv(A)``: the minimum-norm
+  coefficients are ``pinv(A) @ c`` and the leverages are the diagonal of
+  ``A pinv(A)``; no normal matrix is formed and no ``solve`` is tried,
+  since on a constant that is not a small integer ``solve`` can succeed
+  with coefficients of order 1e16.  Every window is a row slice of one
+  intercept-augmented design built per search for the widest window;
 * does not fold rows into the metrics' RLS states.  Columns only stop
   being constant as the window widens, so each RLS is folded on reaching
   the first window without one, in the order widening would have folded
@@ -312,6 +317,17 @@ class DreamEstimator:
         return self.fit(datasets).predict(features)
 
 
+def _reserve(buffer: np.ndarray, used: int, needed: int) -> np.ndarray:
+    """``buffer`` if it holds ``needed`` rows, else a new buffer of at
+    least twice its rows holding a copy of its first ``used`` rows."""
+    capacity = buffer.shape[0]
+    if needed <= capacity:
+        return buffer
+    grown = np.empty((max(needed, 2 * capacity),) + buffer.shape[1:])
+    grown[:used] = buffer[:used]
+    return grown
+
+
 class OnlineDreamEstimator(DreamEstimator):
     """Incremental Algorithm 1 bound to one execution history.
 
@@ -343,41 +359,51 @@ class OnlineDreamEstimator(DreamEstimator):
         r2_mode: str = "press",
     ):
         super().__init__(r2_required, max_window, r2_mode)
-        self._history: ExecutionHistory | None = None
-        self._seen = 0
-        self._features = np.zeros((0, 0))
-        self._metric_targets: dict[str, np.ndarray] = {}
-        self._cached: tuple[int, DreamResult] | None = None
+        self.reset()
 
     def reset(self) -> None:
-        self._history = None
+        self._history: ExecutionHistory | None = None
         self._seen = 0
-        self._features = np.zeros((0, 0))
-        self._metric_targets = {}
-        self._cached = None
+        #: Row buffers with spare capacity (amortised doubling); the
+        #: folded rows are ``_features`` and ``_metric_targets``, views
+        #: of their first ``_seen`` rows.
+        self._feature_buffer = np.zeros((0, 0))
+        self._target_buffers: dict[str, np.ndarray] = {}
+        self._features = self._feature_buffer
+        self._metric_targets: dict[str, np.ndarray] = {}
+        self._cached: tuple[int, DreamResult] | None = None
 
     # Ingest ---------------------------------------------------------------
 
     def _fold_new(self, history: ExecutionHistory) -> None:
-        """Append only the observations newer than the last fold."""
-        total = history.size
-        fresh = history.rows_since(self._seen)
+        """Append only the observations newer than the last fold.
+
+        The new rows are written into the spare capacity of the row
+        buffers; a buffer is copied only when it is full, into one of
+        twice the size, so a fold costs O(new rows) amortised instead of
+        a copy of the whole history.
+        """
+        start = self._seen
+        fresh = history.rows_since(start)
         if not fresh:
             return
+        used = start + len(fresh)
         names = history.feature_names
         rows = np.array(
             [[obs.features[name] for name in names] for obs in fresh], dtype=float
         ).reshape(len(fresh), len(names))
-        self._features = (
-            rows if self._seen == 0 else np.vstack([self._features, rows])
-        )
+        if start == 0:
+            self._feature_buffer = np.zeros((0, len(names)))
+        self._feature_buffer = _reserve(self._feature_buffer, start, used)
+        self._feature_buffer[start:used] = rows
+        self._features = self._feature_buffer[:used]
         for metric in history.metric_names:
-            new = np.array([obs.costs[metric] for obs in fresh], dtype=float)
-            old = self._metric_targets.get(metric)
-            self._metric_targets[metric] = (
-                new if old is None else np.concatenate([old, new])
-            )
-        self._seen = total
+            buffer = self._target_buffers.get(metric, np.zeros(0))
+            buffer = _reserve(buffer, start, used)
+            buffer[start:used] = [obs.costs[metric] for obs in fresh]
+            self._target_buffers[metric] = buffer
+            self._metric_targets[metric] = buffer[:used]
+        self._seen = used
 
     # Fit ------------------------------------------------------------------
 
@@ -406,6 +432,11 @@ class OnlineDreamEstimator(DreamEstimator):
         # constant, so the window is rank-deficient (see below).
         col_min = X[total - m : total].min(axis=0)
         col_max = X[total - m : total].max(axis=0)
+        # The intercept-augmented design of the widest window; each
+        # window is its last ``m`` rows, a view.
+        design = np.empty((m_max, dimension + 1))
+        design[:, 0] = 1.0
+        design[:, 1:] = X[total - m_max : total]
         states: dict[str, RecursiveLeastSquares] = {}
         mins: dict[str, float] = {}
         maxs: dict[str, float] = {}
@@ -426,7 +457,7 @@ class OnlineDreamEstimator(DreamEstimator):
             # A constant column is a multiple of the intercept: the
             # window can never pass ``well_conditioned`` and takes the
             # batch path without its SVD (see RecursiveLeastSquares).
-            constant = bool(np.any(col_min == col_max))
+            constant = bool((col_min == col_max).any())
             shared: WindowFactorisation | None = None
             for metric in metrics:
                 if metric not in pending:
@@ -449,12 +480,11 @@ class OnlineDreamEstimator(DreamEstimator):
                     # Rank-deficient window: the normal-equation shortcut
                     # loses too many digits; take the oracle's exact path
                     # so incremental and batch stay equivalent.  The
-                    # design-only part of that fit is computed once per
-                    # window and shared by every metric refitted on it.
+                    # design-only part of that fit (one pinv on a
+                    # constant-column window) is computed once per window
+                    # and shared by every metric refitted on it.
                     if shared is None:
-                        shared = WindowFactorisation(
-                            np.hstack([np.ones((m, 1)), X[total - m : total]])
-                        )
+                        shared = WindowFactorisation(design[m_max - m :], constant)
                     model = MultipleLinearRegression.fit_window(shared, window_y)
                     models[metric] = model
                     score = (

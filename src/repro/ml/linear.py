@@ -2,15 +2,21 @@
 
 Solves ``B = (A^T A)^-1 A^T C`` (paper Eq. 12) for the design matrix with
 an intercept column (Eq. 8).  A pseudo-inverse is used when the normal
-matrix is singular (e.g. constant features inside a small window), which
-returns the minimum-norm solution instead of failing.
+matrix is singular, which returns the minimum-norm solution instead of
+failing.  A window with a constant feature column (a multiple of the
+intercept) is always singular, so it goes straight to one SVD,
+``pinv(A)``: the normal equations are never formed there.  ``solve``
+would not reliably raise on them — for a constant that is not a small
+integer it returns coefficients of order 1e16 that cancel only inside
+the window — and the minimum-norm fit is the one Eq. 12 promises.
 
 Two implementations share the algebra:
 
 * :class:`MultipleLinearRegression` — the batch fit/predict regressor
   used by the BML pool and kept as DREAM's reference oracle.  Its fit
   runs on a :class:`WindowFactorisation`, the design-only half of the
-  solve (normal matrix, the solve-or-pinv branch, the pinv leverages),
+  solve (normal matrix and solve-or-pinv on a window without a constant
+  column, one ``pinv(A)`` on a window with one, and the leverages),
   which DREAM shares across every metric fitted on one window.
 * :class:`RecursiveLeastSquares` — an incremental core for Algorithm 1's
   ``m += 1`` loop: the normal matrix ``A^T A`` and moment vector
@@ -53,10 +59,10 @@ def press_r_squared_from(
     Leverage ~1 means the point is interpolated: its LOO residual
     diverges, which correctly reads as "no predictive evidence".
     """
-    denominator = np.clip(1.0 - leverages, 1e-6, None)
-    press = float(np.sum((residuals / denominator) ** 2))
+    loo = residuals / np.maximum(1.0 - leverages, 1e-6)
+    press = float(np.add.reduce(loo * loo, axis=None))
     if sst is None:
-        sst = float(np.sum((targets - targets.mean()) ** 2))
+        sst = total_sum_of_squares(targets)
     if sst == 0.0:
         return 1.0 if press == 0.0 else -1.0
     return max(-1.0, 1.0 - press / sst)
@@ -74,22 +80,36 @@ def minimum_observations(dimension: int) -> int:
 class WindowFactorisation:
     """The design-only half of an OLS fit, shared by every target on it.
 
-    For one design matrix (intercept column first) this holds the normal
-    matrix ``A^T A``, whether ``numpy.linalg.solve`` raises on it (which
-    depends on the matrix alone), ``pinv(A)`` once it has, and the
-    hat-matrix diagonal from ``pinv(A^T A)``.  Each is computed on first
-    use by the same numpy call the batch fit has always made, so fitting
-    any number of targets on one factorisation gives, per target,
-    bitwise the coefficients and scores of a separate fit — with one
-    ``pinv(A)`` and one ``pinv(A^T A)`` per window instead of one each
-    per target.
+    For one design matrix (intercept column first) this holds what the
+    fit needs besides the targets.  On a window without a constant
+    feature column that is the normal matrix ``A^T A``, whether
+    ``numpy.linalg.solve`` raises on it (which depends on the matrix
+    alone), ``pinv(A)`` once it has, and the hat-matrix diagonal from
+    ``pinv(A^T A)``, each computed on first use.  On a window with a
+    constant column it is one ``pinv(A)``: the minimum-norm coefficients
+    are ``pinv(A) @ c`` and the leverages are the diagonal of
+    ``A pinv(A)``, so neither the normal matrix, nor a ``solve``, nor a
+    second SVD is run.  Fitting any number of targets on one
+    factorisation gives, per target, bitwise the coefficients and scores
+    of a separate fit, with one factorisation per window.
+
+    ``constant_column`` says whether some feature column is constant
+    (min == max over the window); ``None`` computes it from ``design``.
     """
 
-    def __init__(self, design: np.ndarray):
+    def __init__(self, design: np.ndarray, constant_column: bool | None = None):
         self.design = design
-        self.normal = design.T @ design
+        self.normal: np.ndarray | None = None
         self._pinv_design: np.ndarray | None = None
         self._leverages: np.ndarray | None = None
+        if constant_column is None:
+            features = design[:, 1:]
+            constant_column = bool(np.any(features.min(axis=0) == features.max(axis=0)))
+        if constant_column:
+            self._pinv_design = np.linalg.pinv(design)
+            self._leverages = np.einsum("ij,ji->i", design, self._pinv_design)
+        else:
+            self.normal = design.T @ design
 
     def coefficients(self, targets: np.ndarray) -> np.ndarray:
         """Eq. 12's solution for ``targets`` (minimum-norm if singular)."""
@@ -141,7 +161,8 @@ class MultipleLinearRegression(Regressor):
         residuals = targets - window.design @ self.coefficients_
         # One SST for both scores: training R^2 (Eq. 14) and PRESS R^2.
         sst = total_sum_of_squares(targets)
-        self.r_squared_ = r_squared_from(float(np.sum(residuals**2)), sst)
+        sse = float(np.add.reduce(residuals * residuals))
+        self.r_squared_ = r_squared_from(sse, sst)
         self.press_r_squared_ = press_r_squared_from(
             residuals, window.leverages, targets, sst=sst
         )

@@ -31,11 +31,17 @@ def sum_squared_errors(actual, predicted) -> float:
 
 
 def total_sum_of_squares(actual) -> float:
-    """SST = sum (c_m - mean(c))^2."""
+    """SST = sum (c_m - mean(c))^2.
+
+    Written on ``np.add.reduce`` and ``x * x``: bitwise the
+    ``np.sum``/``mean``/``** 2`` form, without the wrapper dispatch (this
+    runs once per fitted window).
+    """
     actual = np.asarray(actual, dtype=float)
     if actual.size == 0:
         raise EstimationError("SST needs at least one observation")
-    return float(np.sum((actual - actual.mean()) ** 2))
+    deviations = actual - np.add.reduce(actual, axis=None) / actual.size
+    return float(np.add.reduce(deviations * deviations, axis=None))
 
 
 def r_squared(actual, predicted) -> float:

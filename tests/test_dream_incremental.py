@@ -12,8 +12,11 @@ Three layers of guarantees:
    ``MultiCostModel.predict_batch``) matches the per-row path exactly.
 4. Rank-deficient windows: a constant column never passes the
    conditioning check (so skipping it is safe), the per-window shared
-   factorisation is bitwise the batch fit, and an RLS folded late is
+   factorisation is bitwise the batch fit (the minimum-norm fit from one
+   ``pinv(A)`` on a constant-column window), and an RLS folded late is
    bitwise one folded eagerly.
+5. Ingest: the row buffers grow by doubling and hold bitwise the rows
+   a whole-matrix concatenation would.
 """
 
 import numpy as np
@@ -292,6 +295,21 @@ def historical_fit(features, targets):
     )
 
 
+def min_norm_fit(features, targets):
+    """The documented fit on a constant-column window: coefficients
+    ``pinv(A) @ c`` and leverages ``diag(A pinv(A))`` from one SVD."""
+    design = np.hstack([np.ones((features.shape[0], 1)), features])
+    pinv = np.linalg.pinv(design)
+    coefficients = pinv @ targets
+    fitted = design @ coefficients
+    leverages = np.einsum("ij,ji->i", design, pinv)
+    return (
+        coefficients,
+        r_squared(targets, fitted),
+        press_r_squared_from(targets - fitted, leverages, targets),
+    )
+
+
 def assert_same_fit(model, coefficients, r2, press):
     assert np.array_equal(model.coefficients_, coefficients)
     assert repr(model.r_squared_) == repr(r2)
@@ -343,6 +361,9 @@ class TestConstantColumnWindows:
     @pytest.mark.parametrize("metric_count", [1, 2, 3])
     @pytest.mark.parametrize("singular", [True, False])
     def test_shared_factorisation_is_bitwise_the_batch_fit(self, metric_count, singular):
+        """Full-rank windows keep the historical solve and leverages; a
+        constant-column window is the minimum-norm fit, bitwise."""
+        reference = min_norm_fit if singular else historical_fit
         rng = np.random.default_rng(17 + metric_count)
         features = rng.uniform(1.0, 9.0, size=(12, 3))
         if singular:
@@ -358,9 +379,39 @@ class TestConstantColumnWindows:
             assert_same_fit(
                 shared, alone.coefficients_, alone.r_squared_, alone.press_r_squared_
             )
-            assert_same_fit(shared, *historical_fit(features, targets))
+            assert_same_fit(shared, *reference(features, targets))
             assert np.array_equal(shared.predict(features), alone.predict(features))
         assert (window._pinv_design is not None) is singular
+        assert (window.normal is None) is singular
+
+    def test_constant_window_runs_one_pinv_and_no_solve(self, monkeypatch):
+        """Per constant-column window: one ``pinv`` of the design, shared
+        by every pending metric; no ``solve`` and no ``pinv(A^T A)``."""
+        calls = {"solve": 0, "pinv": []}
+        original_solve, original_pinv = np.linalg.solve, np.linalg.pinv
+
+        def counting_solve(*args, **kwargs):
+            calls["solve"] += 1
+            return original_solve(*args, **kwargs)
+
+        def counting_pinv(matrix, *args, **kwargs):
+            calls["pinv"].append(np.shape(matrix))
+            return original_pinv(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        monkeypatch.setattr(np.linalg, "pinv", counting_pinv)
+        rng = np.random.default_rng(8)
+        metrics = ("time", "money", "energy")
+        history = ExecutionHistory(("size", "nodes", "engine"), metrics)
+        for tick in range(40):
+            features = {"size": float(rng.uniform(1, 9)), "nodes": 0.1, "engine": 1.0}
+            costs = {metric: float(rng.normal(5, 2)) for metric in metrics}
+            history.append(tick, features, costs)
+        result = OnlineDreamEstimator(r2_required=0.999, max_window=30).fit(history)
+        assert not result.converged and result.window_size == 30
+        windows = range(5, 31)  # m = L + 2 .. Mmax
+        assert calls["solve"] == 0
+        assert calls["pinv"] == [(m, 4) for m in windows]
 
     def test_late_fold_equals_eager_updates(self):
         """The search's deferred fold, run at the first non-constant
@@ -471,3 +522,98 @@ class TestConstantColumnWindows:
         # from window 11 on, every window runs the check on a folded RLS.
         fit(lambda tick: 1.0 if tick >= 20 else float((tick + 1) % 2))
         assert calls == {"well_conditioned": 25 - 10, "update": 25}
+
+
+# ---------------------------------------------------------------------------
+# Ingest: amortised-doubling row buffers.
+
+
+class ConcatenatingDream(OnlineDreamEstimator):
+    """The whole-matrix ``vstack``/``concatenate`` fold the row buffers
+    replaced, kept as the reference."""
+
+    def _fold_new(self, history):
+        fresh = history.rows_since(self._seen)
+        if not fresh:
+            return
+        names = history.feature_names
+        rows = np.array(
+            [[obs.features[name] for name in names] for obs in fresh], dtype=float
+        ).reshape(len(fresh), len(names))
+        self._features = rows if self._seen == 0 else np.vstack([self._features, rows])
+        for metric in history.metric_names:
+            new = np.array([obs.costs[metric] for obs in fresh], dtype=float)
+            old = self._metric_targets.get(metric)
+            self._metric_targets[metric] = (
+                new if old is None else np.concatenate([old, new])
+            )
+        self._seen = history.size
+
+
+class TestRowBuffers:
+    def test_windows_and_models_are_bitwise_the_concatenating_fold(self):
+        source = drift_history(120, seed=9)
+        replay = ExecutionHistory(source.feature_names, source.metric_names)
+        online = OnlineDreamEstimator(r2_required=0.9, max_window=40)
+        reference = ConcatenatingDream(r2_required=0.9, max_window=40)
+        rng = np.random.default_rng(4)
+        observations = iter(source.observations)
+        fits = 0
+        while replay.size < 115:
+            # Folds of 1 to 7 rows, so some land exactly on a full buffer.
+            for _ in range(int(rng.integers(1, 8))):
+                obs = next(observations)
+                replay.append(obs.tick, obs.features, obs.costs)
+            if replay.size < 4:
+                continue
+            actual, expected = online.fit(replay), reference.fit(replay)
+            assert online._features.tobytes() == reference._features.tobytes()
+            for metric in source.metric_names:
+                assert (
+                    online._metric_targets[metric].tobytes()
+                    == reference._metric_targets[metric].tobytes()
+                )
+                assert np.array_equal(
+                    actual.models[metric].coefficients_,
+                    expected.models[metric].coefficients_,
+                )
+                assert repr(actual.r_squared[metric]) == repr(
+                    expected.r_squared[metric]
+                )
+            assert actual.window_sizes == expected.window_sizes
+            assert actual.target_ranges == expected.target_ranges
+            fits += 1
+        assert fits > 20
+
+    def test_a_fold_copies_only_new_rows_until_the_buffer_is_full(self):
+        source = drift_history(70, seed=3)
+        history = ExecutionHistory(source.feature_names, source.metric_names)
+        online = OnlineDreamEstimator()
+        for obs in source.observations[:10]:
+            history.append(obs.tick, obs.features, obs.costs)
+        online._fold_new(history)
+        capacities = [online._feature_buffer.shape[0]]
+        assert capacities == [10]
+        for obs in source.observations[10:]:
+            buffers = online._feature_buffer, dict(online._target_buffers)
+            before = online._features.copy()
+            history.append(obs.tick, obs.features, obs.costs)
+            online._fold_new(history)
+            capacity = online._feature_buffer.shape[0]
+            if history.size <= capacities[-1]:
+                # Room left: the new row is written in place, no copy.
+                assert online._feature_buffer is buffers[0]
+                for metric, buffer in buffers[1].items():
+                    assert online._target_buffers[metric] is buffer
+            else:
+                assert capacity == 2 * capacities[-1]
+                capacities.append(capacity)
+            assert np.shares_memory(online._features, online._feature_buffer)
+            assert online._features.shape == (history.size, 2)
+            assert np.array_equal(online._features[:-1], before)
+            for metric in source.metric_names:
+                assert online._target_buffers[metric].shape[0] == capacity
+                assert np.shares_memory(
+                    online._metric_targets[metric], online._target_buffers[metric]
+                )
+        assert capacities == [10, 20, 40, 80]

@@ -15,7 +15,9 @@ from repro.ml import (
     MultipleLinearRegression,
     RegressionTree,
     minimum_observations,
+    total_sum_of_squares,
 )
+from repro.ml.linear import press_r_squared_from
 
 #: The paper's Table 2 dataset, digitised verbatim (cost, x1, x2).
 PAPER_TABLE2_DATA = [
@@ -113,6 +115,81 @@ class TestOLS:
         small = MultipleLinearRegression().fit(X[:, :2], y)
         large = MultipleLinearRegression().fit(X, y)
         assert large.r_squared_ >= small.r_squared_ - 1e-9
+
+
+#: Constant feature values: non-integers (0.024993896484375 MiB is the
+#: size column of ``repro demo --quick``) and one integer.
+MIN_NORM_CONSTANTS = (0.1, 1.0 / 3.0, 3.7, 0.024993896484375, 4.0)
+
+
+class TestMinimumNormFit:
+    """A constant column is a multiple of the intercept, so the normal
+    matrix is singular and Eq. 12's pseudo-inverse gives the one
+    minimum-norm fit.  ``solve`` does not reliably raise there: for a
+    non-integer constant it can return coefficients of order 1e16 that
+    cancel only at the window's own feature values."""
+
+    @pytest.mark.parametrize("constant", MIN_NORM_CONSTANTS)
+    @pytest.mark.parametrize("seed", range(12))
+    def test_constant_column_fit_is_the_pinv_fit(self, constant, seed):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(6, 30))
+        X = rng.uniform(1.0, 9.0, size=(m, 3))
+        X[:, int(rng.integers(0, 3))] = constant
+        y = 2.0 + X @ rng.uniform(-2.0, 2.0, size=3) + rng.normal(0.0, 0.5, size=m)
+        design = np.hstack([np.ones((m, 1)), X])
+        expected = np.linalg.pinv(design) @ y
+        model = MultipleLinearRegression().fit(X, y)
+        assert np.allclose(model.coefficients_, expected, rtol=1e-9, atol=1e-9)
+        # In-window rows, and rows whose constant column takes other values.
+        off_window = rng.uniform(-20.0, 20.0, size=(8, 3))
+        for probe in (X, off_window):
+            reference = np.hstack([np.ones((len(probe), 1)), probe]) @ expected
+            assert np.allclose(model.predict(probe), reference, rtol=1e-9, atol=1e-9)
+
+
+SPECIAL_FLOATS = (0.0, -0.0, np.nan, np.inf, -np.inf, 1e-200, -1e-200, 1e200, -1e200)
+floats = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True), st.sampled_from(SPECIAL_FLOATS)
+)
+
+
+def bits(value: float) -> bytes:
+    return np.float64(value).tobytes()
+
+
+class TestPlainReductions:
+    """SST and PRESS run on ``np.add.reduce``, ``x * x`` and
+    ``np.maximum``; they stay byte for byte the ``np.sum``/``mean``/
+    ``** 2``/``np.clip`` forms they replaced."""
+
+    @given(st.lists(floats, min_size=1, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_sst_equals_the_wrapper_form(self, values):
+        actual = np.array(values, dtype=float)
+        with np.errstate(all="ignore"):
+            expected = float(np.sum((actual - actual.mean()) ** 2))
+            assert bits(total_sum_of_squares(actual)) == bits(expected)
+
+    @given(
+        st.lists(st.tuples(floats, floats, floats), min_size=1, max_size=40),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_press_equals_the_wrapper_form(self, rows, pass_sst):
+        residuals, leverages, targets = (np.array(c, dtype=float) for c in zip(*rows))
+        with np.errstate(all="ignore"):
+            denominator = np.clip(1.0 - leverages, 1e-6, None)
+            press = float(np.sum((residuals / denominator) ** 2))
+            sst = float(np.sum((targets - targets.mean()) ** 2))
+            if sst == 0.0:
+                expected = 1.0 if press == 0.0 else -1.0
+            else:
+                expected = max(-1.0, 1.0 - press / sst)
+            actual = press_r_squared_from(
+                residuals, leverages, targets, sst=sst if pass_sst else None
+            )
+        assert bits(actual) == bits(expected)
 
 
 class TestRegressionTree:
