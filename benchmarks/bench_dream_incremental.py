@@ -10,7 +10,8 @@ TPC-H federation history two ways:
   from scratch on each call and predictions walk the candidate set in a
   per-row Python loop (the repository's original behaviour);
 * **incremental path** — :class:`OnlineDreamEstimator` reuses state
-  across ticks (version cache + rank-one window growth) and
+  across ticks (version cache, rows folded once) and fits each searched
+  window once for every pending metric on one shared factorisation, and
   ``DreamResult.predict_batch`` costs the whole candidate set with one
   matmul + vectorised clamp per metric.
 
@@ -20,11 +21,10 @@ to 1e-6; the incremental path must be at least 5x faster end to end.
 A second row replays a **constant-column history**: after random
 exploration, every tick executes the same plan (the optimizer's repeated
 choice), so its node and engine columns are constant over the recent
-rows and the chosen windows are rank-deficient.  There the incremental
-engine takes the batch fallback, with one shared factorisation per
-window and no conditioning SVD; it is timed against the batch
-:class:`DreamEstimator` refit alone, and must again choose identical
-windows and agree to 1e-6.
+rows and the chosen windows are rank-deficient.  There each window's
+shared factorisation is one ``pinv(A)``; the incremental engine is timed
+against the batch :class:`DreamEstimator` refit alone, and must again
+choose identical windows and agree to 1e-6.
 
 A third row replays the same history with a **non-integer constant
 column**: the lineitem size feature held at 0.024993896484375 MiB on
@@ -306,7 +306,7 @@ def format_report(report: IncrementalReport) -> str:
         f"ticks x optimizer calls       : {report.ticks} x {CALLS_PER_TICK}",
         f"mean DREAM window             : {report.mean_window:.1f}",
         f"seed path (refit + row loop)  : {report.seed_seconds * 1e3:8.1f} ms",
-        f"incremental (RLS + batch)     : {report.incremental_seconds * 1e3:8.1f} ms",
+        f"incremental (one fit path)    : {report.incremental_seconds * 1e3:8.1f} ms",
         f"speedup                       : {report.speedup:8.1f}x",
         f"max relative prediction diff  : {report.max_relative_difference:.2e}",
         f"windows identical             : {report.windows_identical}",

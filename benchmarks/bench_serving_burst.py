@@ -12,7 +12,7 @@ loop over N independent drifting histories two ways:
 * **serving path** — :class:`~repro.serving.EstimationService`: the
   stale templates are refitted as one group by ``refresh_batch``
   (serially, with incremental engines from the shared
-  :class:`~repro.core.cache.ModelCache` and rank-one PRESS),
+  :class:`~repro.core.cache.ModelCache`),
   re-planning calls hit the per-version snapshot, and candidate sets
   are costed with one matmul per metric.
 

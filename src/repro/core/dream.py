@@ -23,7 +23,7 @@ accuracy mechanism (stale points never enter) and the speed mechanism
 (each of the thousands of equivalent QEPs in Example 3.1 is estimated
 from a tiny design matrix).
 
-Two estimators implement the algorithm:
+Two estimators implement the algorithm; both fit a window the same way:
 
 * :class:`DreamEstimator` — the batch reference: every window size is a
   full OLS refit.  Kept as the oracle the incremental engine is verified
@@ -31,37 +31,23 @@ Two estimators implement the algorithm:
 * :class:`OnlineDreamEstimator` — the production hot path.  It binds to
   one :class:`~repro.core.history.ExecutionHistory` and keys its state
   on ``history.version``: consecutive optimizer calls between executions
-  reuse the cached fit outright, a version bump folds only the *new*
-  observations into per-metric buffers, and the ``m += 1`` widening loop
-  grows each metric's window by an O(L^2) rank-one update of the normal
-  equations (:class:`~repro.ml.linear.RecursiveLeastSquares`) instead of
-  an O(m L^2) refit.
+  reuse the cached fit outright, and a version bump folds only the *new*
+  observations into flat row buffers before the window search.
 
-Rank-deficient windows take the batch fallback of the online search.
+Every window of the online search is fitted exactly as the batch oracle
+fits it.  The design-only part of the fit
+(:class:`~repro.ml.linear.WindowFactorisation`) is computed once per
+window and shared by every metric still pending at that window; each
+window is a row slice of one intercept-augmented design built per search
+for the widest window.  The search keeps per-column min/max as the
+window widens (as it keeps target min/max), so it knows, without a pass
+over the window, whether some column is constant.  A constant column is
+a multiple of the intercept; such a window is singular and its
+factorisation is one SVD, ``pinv(A)``: the minimum-norm coefficients are
+``pinv(A) @ c`` and the leverages are the diagonal of ``A pinv(A)``.
 When the optimizer keeps choosing one plan, its node and engine columns
-repeat on every recent row; a constant column is a multiple of the
-intercept, so such a window is singular and can never pass the RLS
-conditioning check.  The search keeps per-column min/max as the window
-widens (as it keeps target min/max) and, on a window with a constant
-column:
-
-* skips the conditioning check and its SVD;
-* refits on the batch oracle's exact path, computing the design-only
-  part of that fit (:class:`~repro.ml.linear.WindowFactorisation`) once
-  per window and sharing it across every metric still pending at that
-  window.  That part is one SVD, ``pinv(A)``: the minimum-norm
-  coefficients are ``pinv(A) @ c`` and the leverages are the diagonal of
-  ``A pinv(A)``; no normal matrix is formed and no ``solve`` is tried,
-  since on a constant that is not a small integer ``solve`` can succeed
-  with coefficients of order 1e16.  Every window is a row slice of one
-  intercept-augmented design built per search for the widest window;
-* does not fold rows into the metrics' RLS states.  Columns only stop
-  being constant as the window widens, so each RLS is folded on reaching
-  the first window without one, in the order widening would have folded
-  it.
-
-Windows, models and scores are bitwise those of per-metric refits with
-eager folding.
+repeat on every recent row, so this is the common case.  Windows,
+models and scores are bitwise those of the batch oracle.
 
 Both estimators freeze a metric's model at its first convergence (its
 R^2 met the requirement at window ``m``); later widening steps — forced
@@ -86,7 +72,6 @@ from repro.core.history import ExecutionHistory
 from repro.ml.dataset import Dataset
 from repro.ml.linear import (
     MultipleLinearRegression,
-    RecursiveLeastSquares,
     WindowFactorisation,
     minimum_observations,
 )
@@ -191,13 +176,16 @@ class DreamEstimator:
         metric or a per-metric mapping.  The paper recommends 0.8 (§3).
     max_window:
         ``Mmax``.  ``None`` allows growth up to the full history.
+
+    A window's score is the leave-one-out (PRESS) form of Eq. 14, which
+    does not saturate at m = L + 2 where OLS interpolates (see
+    :class:`~repro.ml.linear.MultipleLinearRegression`).
     """
 
     def __init__(
         self,
         r2_required: float | dict[str, float] = 0.8,
         max_window: int | None = None,
-        r2_mode: str = "press",
     ):
         if isinstance(r2_required, dict):
             for metric, value in r2_required.items():
@@ -208,14 +196,6 @@ class DreamEstimator:
         if max_window is not None:
             require(max_window >= 3, f"max_window must be >= 3, got {max_window}")
         self.max_window = max_window
-        require(
-            r2_mode in ("press", "training"),
-            f"r2_mode must be 'press' or 'training', got {r2_mode!r}",
-        )
-        # "training" is the paper's literal Eq. 14; "press" (default) is
-        # its leave-one-out form, which does not saturate at m = L + 2
-        # where OLS interpolates (see MultipleLinearRegression docs).
-        self.r2_mode = r2_mode
 
     def _required(self, metric: str) -> float:
         if isinstance(self.r2_required, dict):
@@ -278,11 +258,7 @@ class DreamEstimator:
                 window = data.last_window(m)
                 model.fit(window.features, window.targets)
                 models[metric] = model
-                r2[metric] = (
-                    model.press_r_squared_
-                    if self.r2_mode == "press"
-                    else model.r_squared_
-                )
+                r2[metric] = model.press_r_squared_
                 if r2[metric] >= self._required(metric):
                     pending.discard(metric)
                     window_sizes[metric] = m
@@ -331,8 +307,8 @@ def _reserve(buffer: np.ndarray, used: int, needed: int) -> np.ndarray:
 class OnlineDreamEstimator(DreamEstimator):
     """Incremental Algorithm 1 bound to one execution history.
 
-    Semantically identical to :class:`DreamEstimator` (same window
-    choice, same models, verified to 1e-6 by the equivalence tests), but
+    Bitwise identical to :class:`DreamEstimator` (same windows, same
+    models, same scores: every window runs the batch fit), but
     engineered for the optimizer hot path:
 
     * **Version cache** — ``fit`` is keyed by ``history.version``; any
@@ -341,12 +317,10 @@ class OnlineDreamEstimator(DreamEstimator):
     * **Incremental ingest** — a version bump folds only the
       observations appended since the last call into flat numpy buffers
       (the history is append-only, so earlier rows never change).
-    * **Rank-one widening** — each ``m += 1`` step updates the per-metric
-      :class:`~repro.ml.linear.RecursiveLeastSquares` state in O(L^2),
-      and the PRESS statistic rides along incrementally
-      (``track_press=True``): its leverages and residuals are carried by
-      the same rank-one identities, so the whole step is O(L^2 + m)
-      rather than an O(m L^2) hat-matrix pass.
+    * **One factorisation per window** — each window's design-only fit
+      (:class:`~repro.ml.linear.WindowFactorisation`) is shared by every
+      metric still pending at that window, and the window's target and
+      column ranges widen by one row per step.
 
     An estimator instance holds state for exactly one history; passing a
     different history object resets it.
@@ -356,9 +330,8 @@ class OnlineDreamEstimator(DreamEstimator):
         self,
         r2_required: float | dict[str, float] = 0.8,
         max_window: int | None = None,
-        r2_mode: str = "press",
     ):
-        super().__init__(r2_required, max_window, r2_mode)
+        super().__init__(r2_required, max_window)
         self.reset()
 
     def reset(self) -> None:
@@ -425,11 +398,10 @@ class OnlineDreamEstimator(DreamEstimator):
         total = self._seen
         dimension = len(history.feature_names)
         m, m_max = self._window_bounds(dimension, total)
-        first = m
 
         X = self._features
         # Per-column range of the window: a column with min == max is
-        # constant, so the window is rank-deficient (see below).
+        # constant, so the window is rank-deficient.
         col_min = X[total - m : total].min(axis=0)
         col_max = X[total - m : total].max(axis=0)
         # The intercept-augmented design of the widest window; each
@@ -437,12 +409,9 @@ class OnlineDreamEstimator(DreamEstimator):
         design = np.empty((m_max, dimension + 1))
         design[:, 0] = 1.0
         design[:, 1:] = X[total - m_max : total]
-        states: dict[str, RecursiveLeastSquares] = {}
         mins: dict[str, float] = {}
         maxs: dict[str, float] = {}
-        track_press = self.r2_mode == "press"
         for metric in metrics:
-            states[metric] = RecursiveLeastSquares(dimension, track_press=track_press)
             window = self._metric_targets[metric][total - m : total]
             mins[metric] = float(window.min())
             maxs[metric] = float(window.max())
@@ -454,46 +423,17 @@ class OnlineDreamEstimator(DreamEstimator):
         pending = set(metrics)
 
         while True:
-            # A constant column is a multiple of the intercept: the
-            # window can never pass ``well_conditioned`` and takes the
-            # batch path without its SVD (see RecursiveLeastSquares).
-            constant = bool((col_min == col_max).any())
-            shared: WindowFactorisation | None = None
+            shared = WindowFactorisation(
+                design[m_max - m :], bool((col_min == col_max).any())
+            )
             for metric in metrics:
                 if metric not in pending:
                     continue
-                rls = states[metric]
                 window_y = self._metric_targets[metric][total - m : total]
-                if not constant:
-                    self._fold_to(rls, metric, total, first, m)
-                if not constant and rls.well_conditioned():
-                    if self.r2_mode == "press":
-                        # Rank-one PRESS: the leverages/residuals were
-                        # carried through each update, so this is O(m)
-                        # instead of a fresh O(m L^2) hat-matrix pass.
-                        score = rls.press_r_squared_tracked()
-                        models[metric] = rls.as_model(press_r_squared=score)
-                    else:
-                        score = rls.r_squared
-                        models[metric] = rls.as_model()
-                else:
-                    # Rank-deficient window: the normal-equation shortcut
-                    # loses too many digits; take the oracle's exact path
-                    # so incremental and batch stay equivalent.  The
-                    # design-only part of that fit (one pinv on a
-                    # constant-column window) is computed once per window
-                    # and shared by every metric refitted on it.
-                    if shared is None:
-                        shared = WindowFactorisation(design[m_max - m :], constant)
-                    model = MultipleLinearRegression.fit_window(shared, window_y)
-                    models[metric] = model
-                    score = (
-                        model.press_r_squared_
-                        if self.r2_mode == "press"
-                        else model.r_squared_
-                    )
-                r2[metric] = score
-                if score >= self._required(metric):
+                model = MultipleLinearRegression.fit_window(shared, window_y)
+                models[metric] = model
+                r2[metric] = model.press_r_squared_
+                if r2[metric] >= self._required(metric):
                     pending.discard(metric)
                     window_sizes[metric] = m
                     ranges[metric] = (mins[metric], maxs[metric])
@@ -519,27 +459,6 @@ class OnlineDreamEstimator(DreamEstimator):
                 y = float(self._metric_targets[metric][oldest])
                 mins[metric] = min(mins[metric], y)
                 maxs[metric] = max(maxs[metric], y)
-
-    def _fold_to(
-        self, rls: RecursiveLeastSquares, metric: str, total: int, first: int, m: int
-    ) -> None:
-        """Bring ``rls`` up to the window of the last ``m`` rows.
-
-        Rows always fold in one order: the first window oldest-first,
-        then one older row per widening step.  The search calls this only
-        once windows have no constant column.  Until then nothing reads
-        the RLS, and an RLS nothing has read keeps a stale inverse and an
-        invalid PRESS carry, so its updates only accumulate sums: folding
-        the same rows in the same order later leaves it bitwise where
-        folding them one step at a time would.
-        """
-        X = self._features
-        y = self._metric_targets[metric]
-        if rls.count == 0:
-            for i in range(total - first, total):
-                rls.update(X[i], y[i])
-        for i in range(total - rls.count - 1, total - m - 1, -1):
-            rls.update(X[i], float(y[i]))
 
     def estimate_cost_values(  # type: ignore[override]
         self, history: ExecutionHistory, features

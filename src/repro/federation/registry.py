@@ -10,9 +10,9 @@ fields of the config it cares about (thresholds, cache budget,
 Built-in backends:
 
 ``dream-incremental``
-    The production DREAM path: per-history online engines with rank-one
-    window growth, pooled in a bounded
-    :class:`~repro.core.cache.ModelCache` sized by the config.
+    The production DREAM path: per-history online engines (version
+    cache, one shared factorisation per searched window), pooled in a
+    bounded :class:`~repro.core.cache.ModelCache` sized by the config.
 ``dream-batch``
     The batch reference estimator (full refit per window size) — the
     verification oracle, selectable for A/B runs.

@@ -90,8 +90,9 @@ class DreamStrategy(EstimationStrategy):
     ``incremental=True`` (default) keeps one
     :class:`~repro.core.dream.OnlineDreamEstimator` per registered
     history, so repeated fits between executions are cache hits and each
-    window-widening step is a rank-one update.  ``incremental=False``
-    falls back to the batch reference estimator on every call.
+    searched window is factorised once for every metric.
+    ``incremental=False`` falls back to the batch reference estimator on
+    every call.
 
     Engines live in a bounded :class:`~repro.core.cache.ModelCache`
     (LRU + optional idle TTL) instead of a process-lifetime map: a

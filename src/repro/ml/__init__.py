@@ -3,7 +3,7 @@
 Re-creates the model pool the paper attributes to IReS's *Modelling*
 module (§2.4): least-squares regression, bagging predictors and a
 multilayer perceptron (the WEKA trio), plus CART trees (bagging's base
-learner), k-NN, evaluation metrics, and the **Best-ML selection protocol**
+learner), evaluation metrics, and the **Best-ML selection protocol**
 (train everything, keep the model with the smallest training error).
 """
 
@@ -19,13 +19,11 @@ from repro.ml.metrics import (
 from repro.ml.base import Regressor
 from repro.ml.linear import (
     MultipleLinearRegression,
-    RecursiveLeastSquares,
     minimum_observations,
 )
 from repro.ml.tree import RegressionTree
 from repro.ml.bagging import BaggingRegressor
 from repro.ml.mlp import MLPRegressor
-from repro.ml.knn import KNNRegressor
 from repro.ml.selection import (
     BestModelSelector,
     ObservationWindow,
@@ -42,12 +40,10 @@ __all__ = [
     "total_sum_of_squares",
     "Regressor",
     "MultipleLinearRegression",
-    "RecursiveLeastSquares",
     "minimum_observations",
     "RegressionTree",
     "BaggingRegressor",
     "MLPRegressor",
-    "KNNRegressor",
     "BestModelSelector",
     "ObservationWindow",
     "default_model_pool",

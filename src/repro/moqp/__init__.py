@@ -24,7 +24,6 @@ from repro.moqp.pareto import (
 from repro.moqp.problem import Candidate, EnumeratedProblem
 from repro.moqp.nsga2 import Nsga2, Nsga2Config
 from repro.moqp.nsga_g import NsgaG, NsgaGConfig
-from repro.moqp.moead import Moead, MoeadConfig
 from repro.moqp.wsm import WeightedSumModel, normalise_objectives
 from repro.moqp.selection import best_in_pareto
 
@@ -46,8 +45,6 @@ __all__ = [
     "Nsga2Config",
     "NsgaG",
     "NsgaGConfig",
-    "Moead",
-    "MoeadConfig",
     "WeightedSumModel",
     "normalise_objectives",
     "best_in_pareto",

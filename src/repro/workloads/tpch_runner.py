@@ -59,7 +59,7 @@ class TpchFederationConfig:
         default_factory=lambda: {"cloud-a": [2, 4, 6, 8], "cloud-b": [2, 3, 4]}
     )
     metrics: tuple[str, ...] = ("time", "money")
-    #: Use the incremental (version-cached, rank-one-update) DREAM
+    #: Use the incremental (version-cached, shared-factorisation) DREAM
     #: backend in :meth:`TpchFederationWorkload.gateway`.  The batch
     #: reference estimator remains available for oracle comparisons.
     incremental_estimation: bool = True

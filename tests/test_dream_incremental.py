@@ -1,21 +1,18 @@
 """Tests for the incremental DREAM engine.
 
-Three layers of guarantees:
+Four layers of guarantees:
 
-1. :class:`RecursiveLeastSquares` reproduces batch OLS — coefficients,
-   training R^2 and PRESS R^2 — to 1e-8 across random windows, through
-   both updates and downdates (property test).
-2. :class:`OnlineDreamEstimator` chooses the *same window* as the batch
-   :class:`DreamEstimator` and predicts within 1e-6 on the
-   ``default_federation_load`` drift scenario (equivalence test).
-3. The batched prediction path (``DreamResult.predict_batch``,
+1. :class:`OnlineDreamEstimator` is bitwise the batch
+   :class:`DreamEstimator` — windows, coefficients and R^2 — on every
+   history a property draws (full-rank, near-collinear, drifting,
+   indicator and constant-recent columns, one to three metrics, refits
+   across version bumps) and on named scenarios.
+2. The batched prediction path (``DreamResult.predict_batch``,
    ``MultiCostModel.predict_batch``) matches the per-row path exactly.
-4. Rank-deficient windows: a constant column never passes the
-   conditioning check (so skipping it is safe), the per-window shared
-   factorisation is bitwise the batch fit (the minimum-norm fit from one
-   ``pinv(A)`` on a constant-column window), and an RLS folded late is
-   bitwise one folded eagerly.
-5. Ingest: the row buffers grow by doubling and hold bitwise the rows
+3. The window search runs one shared factorisation per searched window:
+   it is bitwise the batch fit (the minimum-norm fit from one ``pinv(A)``
+   on a constant-column window) and every pending metric is fitted on it.
+4. Ingest: the row buffers grow by doubling and hold bitwise the rows
    a whole-matrix concatenation would.
 """
 
@@ -28,17 +25,10 @@ from repro.cloud.variability import default_federation_load
 from repro.common.errors import EstimationError
 from repro.common.rng import RngStream
 from repro.core import DreamEstimator, ExecutionHistory, OnlineDreamEstimator
+from repro.core import dream as dream_module
 from repro.ires.modelling import DreamStrategy
-from repro.ml import MultipleLinearRegression, RecursiveLeastSquares, r_squared
+from repro.ml import MultipleLinearRegression, r_squared
 from repro.ml.linear import WindowFactorisation, press_r_squared_from
-
-
-def random_regression(seed: int, n: int, dimension: int):
-    rng = np.random.default_rng(seed)
-    features = rng.uniform(-5.0, 5.0, size=(n, dimension))
-    slopes = rng.uniform(-2.0, 2.0, size=dimension)
-    targets = 1.5 + features @ slopes + rng.normal(0.0, 0.5, size=n)
-    return features, targets
 
 
 def drift_history(
@@ -58,92 +48,103 @@ def drift_history(
     return history
 
 
-class TestRecursiveLeastSquares:
+def assert_bitwise(actual, expected):
+    """Online and batch results agree bit for bit: windows, target
+    ranges, coefficients and both R^2 scores (compared by ``repr``)."""
+    assert actual.window_size == expected.window_size
+    assert actual.window_sizes == expected.window_sizes
+    assert actual.converged == expected.converged
+    assert actual.target_ranges == expected.target_ranges
+    assert set(actual.models) == set(expected.models)
+    for metric, model in expected.models.items():
+        assert np.array_equal(actual.models[metric].coefficients_, model.coefficients_)
+        assert repr(actual.models[metric].r_squared_) == repr(model.r_squared_)
+        assert repr(actual.r_squared[metric]) == repr(expected.r_squared[metric])
+
+
+HISTORY_KINDS = ("full-rank", "near-collinear", "drift", "indicator", "constant-recent")
+
+
+def drawn_history(kind, seed, n, dimension, metric_count):
+    """A history of one of ``HISTORY_KINDS``.  ``near-collinear``: the
+    second column nearly repeats the first.  ``indicator``: the last
+    column is a rare 0/1 flag.  ``constant-recent``: the last column is
+    one node count over a recent stretch and varies before it.
+    ``drift``: every cost is scaled by the federation load."""
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(1.0, 100.0, size=(n, dimension))
+    if kind == "near-collinear" and dimension >= 2:
+        X[:, 1] = 3.0 * X[:, 0] + rng.normal(0.0, 1e-6, size=n)
+    elif kind == "indicator":
+        X[:, -1] = (rng.random(n) < 0.1).astype(float)
+    elif kind == "constant-recent":
+        X[:, -1] = rng.integers(2, 9, size=n).astype(float)
+        X[n - int(rng.integers(1, n)) :, -1] = 4.0
+    factors = np.ones(n)
+    if kind == "drift":
+        load = default_federation_load(RngStream(seed, "drift").child("load"))
+        factors = np.array([load.factor(tick) for tick in range(n)])
+    metrics = ("time", "money", "energy")[:metric_count]
+    names = tuple(f"x{i}" for i in range(dimension))
+    slopes = rng.uniform(-2.0, 2.0, size=(metric_count, dimension))
+    noise = rng.normal(0.0, rng.uniform(0.0, 20.0), size=(n, metric_count))
+    costs = factors[:, None] * (50.0 + X @ slopes.T + noise)
+    history = ExecutionHistory(names, metrics)
+    for tick in range(n):
+        history.append(
+            tick,
+            dict(zip(names, map(float, X[tick]))),
+            dict(zip(metrics, map(float, costs[tick]))),
+        )
+    return history
+
+
+class TestOnlineEqualsBatchBitwise:
     @given(
+        kind=st.sampled_from(HISTORY_KINDS),
         seed=st.integers(min_value=0, max_value=2**31 - 1),
         dimension=st.integers(min_value=1, max_value=4),
-        extra=st.integers(min_value=1, max_value=25),
+        metric_count=st.integers(min_value=1, max_value=3),
+        extra=st.integers(min_value=0, max_value=30),
+        window_extra=st.one_of(st.none(), st.integers(min_value=0, max_value=25)),
+        required=st.sampled_from((0.5, 0.8, 0.95, 0.999)),
+        chunks=st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=10),
     )
-    @settings(max_examples=25, deadline=None)
-    def test_matches_batch_across_growing_windows(self, seed, dimension, extra):
-        n = dimension + 2 + extra
-        features, targets = random_regression(seed, n, dimension)
-        rls = RecursiveLeastSquares(dimension)
-        for i in range(n):
-            rls.update(features[i], targets[i])
-            if i + 1 < dimension + 2:
-                continue
-            window_x, window_y = features[: i + 1], targets[: i + 1]
-            batch = MultipleLinearRegression().fit(window_x, window_y)
-            assert np.allclose(
-                rls.coefficients, batch.coefficients_, rtol=1e-8, atol=1e-8
-            )
-            assert rls.r_squared == pytest.approx(batch.r_squared_, abs=1e-8)
-            assert rls.press_r_squared(window_x, window_y) == pytest.approx(
-                batch.press_r_squared_, abs=1e-8
-            )
-
-    @given(
-        seed=st.integers(min_value=0, max_value=2**31 - 1),
-        dimension=st.integers(min_value=1, max_value=3),
-    )
-    @settings(max_examples=15, deadline=None)
-    def test_downdate_slides_the_window(self, seed, dimension):
-        n = dimension + 12
-        drop = 4
-        features, targets = random_regression(seed, n, dimension)
-        rls = RecursiveLeastSquares(dimension)
-        for i in range(n):
-            rls.update(features[i], targets[i])
-        for i in range(drop):
-            rls.downdate(features[i], targets[i])
-        batch = MultipleLinearRegression().fit(features[drop:], targets[drop:])
-        assert rls.count == n - drop
-        assert np.allclose(rls.coefficients, batch.coefficients_, rtol=1e-7, atol=1e-7)
-        assert rls.r_squared == pytest.approx(batch.r_squared_, abs=1e-7)
-
-    def test_copy_is_independent(self):
-        features, targets = random_regression(1, 8, 2)
-        rls = RecursiveLeastSquares(2)
-        for i in range(6):
-            rls.update(features[i], targets[i])
-        clone = rls.copy()
-        clone.update(features[6], targets[6])
-        assert clone.count == rls.count + 1
-        assert not np.allclose(clone.coefficients, rls.coefficients)
-
-    def test_dimension_and_empty_guards(self):
-        with pytest.raises(EstimationError):
-            RecursiveLeastSquares(0)
-        rls = RecursiveLeastSquares(2)
-        with pytest.raises(EstimationError):
-            rls.update([1.0], 2.0)
-        with pytest.raises(EstimationError):
-            rls.downdate([1.0, 2.0], 3.0)
-        with pytest.raises(EstimationError):
-            _ = rls.coefficients
-
-    def test_singular_window_matches_batch_pinv(self):
-        """A constant feature keeps the normal matrix singular; both
-        implementations fall back to the same pseudo-inverse solution."""
-        features = np.column_stack([np.ones(6), np.arange(6, dtype=float)])
-        targets = 2.0 * np.arange(6, dtype=float) + 1.0
-        rls = RecursiveLeastSquares(2)
-        for i in range(6):
-            rls.update(features[i], targets[i])
-        batch = MultipleLinearRegression().fit(features, targets)
-        assert np.allclose(
-            rls.coefficients @ [1.0, 1.0, 3.0],
-            batch.coefficients_ @ [1.0, 1.0, 3.0],
-            rtol=1e-8,
-        )
+    @settings(max_examples=40, deadline=None)
+    def test_every_refit_is_the_batch_fit(
+        self, kind, seed, dimension, metric_count, extra, window_extra, required, chunks
+    ):
+        """Replayed in drawn chunks, each version's online fit is bitwise
+        the batch oracle's, a second fit at one version is the cached
+        result, and the incremental and batch ``DreamStrategy`` agree."""
+        first = dimension + 2
+        source = drawn_history(kind, seed, first + extra, dimension, metric_count)
+        max_window = None if window_extra is None else first + window_extra
+        online = OnlineDreamEstimator(required, max_window)
+        batch = DreamEstimator(required, max_window)
+        replay = ExecutionHistory(source.feature_names, source.metric_names)
+        rows = iter(source.observations)
+        for size in [first] + chunks:
+            for _, obs in zip(range(size), rows):
+                replay.append(obs.tick, obs.features, obs.costs)
+            result = online.fit(replay)
+            assert_bitwise(result, batch.fit(replay.datasets()))
+            assert online.fit(replay) is result
+        incremental = DreamStrategy(required, max_window, incremental=True).fit(replay)
+        reference = DreamStrategy(required, max_window, incremental=False).fit(replay)
+        assert incremental.training_size == reference.training_size
+        assert repr(incremental.r_squared) == repr(reference.r_squared)
+        probe = 1.5 * replay.feature_matrix()
+        expected = reference.predict_batch(probe)
+        for metric, values in incremental.predict_batch(probe).items():
+            assert np.array_equal(values, expected[metric])
 
 
 class TestOnlineDreamEquivalence:
     def test_same_windows_and_predictions_under_drift(self):
-        """Batch and incremental Algorithm 1 agree on every tick of the
-        default_federation_load scenario (windows exactly, predictions
-        to 1e-6)."""
+        """Batch and incremental Algorithm 1 agree bitwise on every tick
+        of the default_federation_load scenario: windows, models, scores
+        and predictions."""
         history = drift_history(90)
         full = history.observations
         replay = ExecutionHistory(history.feature_names, history.metric_names)
@@ -157,21 +158,16 @@ class TestOnlineDreamEquivalence:
                 continue
             reference = batch.fit(replay.datasets())
             incremental = online.fit(replay)
-            assert incremental.window_size == reference.window_size
-            assert incremental.window_sizes == reference.window_sizes
-            assert incremental.converged == reference.converged
-            for metric in reference.models:
-                expected = reference.predict_metric(metric, probe)
-                actual = incremental.predict_metric(metric, probe)
-                assert actual == pytest.approx(expected, rel=1e-6, abs=1e-9)
+            assert_bitwise(incremental, reference)
+            assert repr(incremental.predict(probe)) == repr(reference.predict(probe))
             checked += 1
         assert checked > 50
 
     def test_rank_deficient_windows_match_batch(self):
         """Regression: near-constant indicator features make early
-        windows rank-deficient; the incremental engine must fall back to
-        the oracle's exact path there rather than diverge (this bit the
-        MIDAS medical workload: money R^2 read -1.0 instead of 0.99)."""
+        windows rank-deficient; the incremental engine must fit them as
+        the oracle does rather than diverge (this bit the MIDAS medical
+        workload: money R^2 read -1.0 instead of 0.99)."""
         rng = RngStream(11, "rankdef")
         metrics = ("time", "money")
         history = ExecutionHistory(("size", "nodes", "indicator"), metrics)
@@ -196,12 +192,8 @@ class TestOnlineDreamEquivalence:
                 continue
             reference = batch.fit(replay.datasets())
             incremental = online.fit(replay)
-            assert incremental.window_size == reference.window_size
-            assert incremental.window_sizes == reference.window_sizes
-            for metric in metrics:
-                assert incremental.predict_metric(metric, probe) == pytest.approx(
-                    reference.predict_metric(metric, probe), rel=1e-6, abs=1e-9
-                )
+            assert_bitwise(incremental, reference)
+            assert repr(incremental.predict(probe)) == repr(reference.predict(probe))
 
     def test_version_cache_and_incremental_fold(self):
         history = drift_history(30)
@@ -219,7 +211,7 @@ class TestOnlineDreamEquivalence:
         other = drift_history(25, seed=2)
         result = online.fit(other)
         reference = DreamEstimator(r2_required=0.8).fit(other.datasets())
-        assert result.window_size == reference.window_size
+        assert_bitwise(result, reference)
 
     def test_estimate_cost_values_signature(self):
         history = drift_history(20)
@@ -262,18 +254,14 @@ class TestBatchedPrediction:
         incremental = DreamStrategy(r2_required=0.8, incremental=True).fit(history)
         reference = DreamStrategy(r2_required=0.8, incremental=False).fit(history)
         assert incremental.training_size == reference.training_size
+        assert repr(incremental.r_squared) == repr(reference.r_squared)
         x = np.array([60.0, 3.0])
-        a, b = incremental.predict(x), reference.predict(x)
-        for metric in b:
-            assert a[metric] == pytest.approx(b[metric], rel=1e-6)
+        assert repr(incremental.predict(x)) == repr(reference.predict(x))
 
 
 # ---------------------------------------------------------------------------
-# Rank-deficient windows: constant columns, the shared factorisation and
-# the deferred RLS fold.
-
-CONSTANTS = (0.0, 1e-300, -1e-300, 1e-8, -1e-8, 1.0, -1.0, 1e8, -1e8, 1e200, -1e200)
-
+# The shared window factorisation: constant columns and every pending
+# metric fitted on one factorisation per window.
 
 def historical_fit(features, targets):
     """The batch fit as it ran before fits shared a factorisation: one
@@ -316,48 +304,7 @@ def assert_same_fit(model, coefficients, r2, press):
     assert repr(model.press_r_squared_) == repr(press)
 
 
-def rls_state(rls):
-    """Everything a later query of the RLS can read."""
-    used = rls._window_used
-    return (
-        rls._xtx.tobytes(),
-        rls._xty.tobytes(),
-        repr(rls._sum_y),
-        repr(rls._sum_y2),
-        rls._count,
-        None if rls._inverse is None else rls._inverse.tobytes(),
-        rls._singular,
-        rls._press_valid,
-        rls._design_buf[:used].tobytes(),
-        rls._target_buf[:used].tobytes(),
-    )
-
-
 class TestConstantColumnWindows:
-    @given(
-        dimension=st.integers(min_value=1, max_value=6),
-        extra=st.integers(min_value=0, max_value=38),
-        constant=st.sampled_from(CONSTANTS),
-        column=st.integers(min_value=0, max_value=5),
-        seed=st.integers(min_value=0, max_value=2**31 - 1),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_constant_column_is_never_well_conditioned(
-        self, dimension, extra, constant, column, seed
-    ):
-        """The skip DREAM takes is safe: any window with a constant
-        column fails the conditioning check it no longer runs."""
-        m = min(dimension + 2 + extra, 40)
-        rng = np.random.default_rng(seed)
-        features = rng.uniform(-1e3, 1e3, size=(m, dimension))
-        features[:, column % dimension] = constant
-        targets = rng.normal(0.0, 10.0, size=m)
-        rls = RecursiveLeastSquares(dimension, track_press=True)
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            for i in range(m):
-                rls.update(features[i], targets[i])
-            assert rls.well_conditioned() is False
-
     @pytest.mark.parametrize("metric_count", [1, 2, 3])
     @pytest.mark.parametrize("singular", [True, False])
     def test_shared_factorisation_is_bitwise_the_batch_fit(self, metric_count, singular):
@@ -413,52 +360,11 @@ class TestConstantColumnWindows:
         assert calls["solve"] == 0
         assert calls["pinv"] == [(m, 4) for m in windows]
 
-    def test_late_fold_equals_eager_updates(self):
-        """The search's deferred fold, run at the first non-constant
-        window and on past it, leaves the RLS bitwise where eager
-        updates (with a failed conditioning check at every constant
-        window) leave it."""
-        rng = np.random.default_rng(5)
-        n, recent = 24, 15
-        history = ExecutionHistory(("a", "b", "engine"), ("time",))
-        for tick in range(n):
-            a, b = (float(v) for v in rng.uniform(1.0, 9.0, size=2))
-            engine = 1.0 if tick >= n - recent else float(rng.integers(0, 2))
-            time = 0.5 * a - b + 2.0 * engine + float(rng.normal(0, 0.2))
-            history.append(tick, {"a": a, "b": b, "engine": engine}, {"time": time})
-        online = OnlineDreamEstimator()
-        online._fold_new(history)
-        features, targets = online._features, online._metric_targets["time"]
-        first = 5  # L + 2
-        order = list(range(n - first, n)) + list(range(n - first - 1, -1, -1))
-        eager = RecursiveLeastSquares(3, track_press=True)
-        late = RecursiveLeastSquares(3, track_press=True)
-        compared = 0
-        for step, i in enumerate(order):
-            eager.update(features[i], targets[i])
-            m = step + 1
-            if m < first:
-                continue
-            window = features[n - m :]
-            if np.any(window.min(axis=0) == window.max(axis=0)):
-                assert eager.well_conditioned() is False
-                continue
-            online._fold_to(late, "time", n, first, m)
-            assert rls_state(late) == rls_state(eager)
-            assert eager.well_conditioned() and late.well_conditioned()
-            assert repr(late.press_r_squared_tracked()) == repr(
-                eager.press_r_squared_tracked()
-            )
-            assert np.array_equal(late.coefficients, eager.coefficients)
-            compared += 1
-        assert late.count == n > recent + 1 and compared >= 3
-
     def test_constant_recent_rows_varying_older_rows(self):
         """The chosen plan's node column is constant over recent rows and
         varies further back; one metric converges inside the constant
-        zone, the other only past it.  Windows match the batch oracle,
-        and a model fitted on a constant-column window is bitwise the
-        oracle's (both ran the batch fit)."""
+        zone, the other only past it.  Both are bitwise the batch
+        oracle's."""
         rng = np.random.default_rng(29)
         metrics = ("time", "money")
         history = ExecutionHistory(("size", "nodes"), metrics)
@@ -473,55 +379,59 @@ class TestConstantColumnWindows:
         batch = DreamEstimator(r2_required={"time": 0.95, "money": 0.8})
         incremental = online.fit(history)
         reference = batch.fit(history.datasets())
-        assert incremental.window_sizes == reference.window_sizes
-        assert incremental.window_size == reference.window_size
+        assert_bitwise(incremental, reference)
         assert incremental.window_sizes["money"] <= recent
         assert incremental.window_sizes["time"] > recent
-        money = incremental.models["money"]
-        assert np.array_equal(
-            money.coefficients_, reference.models["money"].coefficients_
+
+    @pytest.mark.parametrize("engine", ["constant", "varying"])
+    def test_one_factorisation_per_window_shared_by_pending_metrics(
+        self, monkeypatch, engine
+    ):
+        """Each searched window, with or without a constant column, builds
+        one factorisation of its own rows, and every metric still pending
+        at that window is fitted on it; converged metrics are not refitted."""
+        built: list[WindowFactorisation] = []
+        fitted: list[tuple[int, int]] = []  # (factorisation index, rows)
+
+        class Counting(WindowFactorisation):
+            def __init__(self, design, constant_column=None):
+                super().__init__(design, constant_column)
+                built.append(self)
+
+        original = MultipleLinearRegression.fit_window.__func__
+
+        def counting_fit_window(cls, window, targets):
+            fitted.append((built.index(window), len(targets)))
+            return original(cls, window, targets)
+
+        monkeypatch.setattr(dream_module, "WindowFactorisation", Counting)
+        monkeypatch.setattr(
+            MultipleLinearRegression, "fit_window", classmethod(counting_fit_window)
         )
-        assert repr(incremental.r_squared["money"]) == repr(
-            reference.r_squared["money"]
-        )
-        probe = np.array([55.0, 3.0])
-        assert incremental.predict_metric("time", probe) == pytest.approx(
-            reference.predict_metric("time", probe), rel=1e-6
-        )
-
-    def test_constant_windows_skip_the_svd_and_the_rls(self, monkeypatch):
-        """While every window has a constant column, the search neither
-        runs the conditioning check nor folds a row into any RLS."""
-        calls = {"well_conditioned": 0, "update": 0}
-        original_check = RecursiveLeastSquares.well_conditioned
-        original_update = RecursiveLeastSquares.update
-
-        def counting_check(self, *args, **kwargs):
-            calls["well_conditioned"] += 1
-            return original_check(self, *args, **kwargs)
-
-        def counting_update(self, *args, **kwargs):
-            calls["update"] += 1
-            return original_update(self, *args, **kwargs)
-
-        monkeypatch.setattr(RecursiveLeastSquares, "well_conditioned", counting_check)
-        monkeypatch.setattr(RecursiveLeastSquares, "update", counting_update)
-
-        def fit(engine_of_tick):
-            rng = np.random.default_rng(3)
-            history = ExecutionHistory(("size", "engine"), ("time",))
-            for tick in range(30):
-                features = {"size": float(rng.uniform(10, 100)), "engine": engine_of_tick(tick)}
-                history.append(tick, features, {"time": float(rng.normal(5, 2))})
-            return OnlineDreamEstimator(r2_required=0.99, max_window=25).fit(history)
-
-        result = fit(lambda tick: 1.0)
-        assert result.window_size == 25 and not result.converged
-        assert calls == {"well_conditioned": 0, "update": 0}
-        # The engine column varies in rows older than the 10 most recent:
-        # from window 11 on, every window runs the check on a folded RLS.
-        fit(lambda tick: 1.0 if tick >= 20 else float((tick + 1) % 2))
-        assert calls == {"well_conditioned": 25 - 10, "update": 25}
+        rng = np.random.default_rng(3)
+        metrics = ("time", "money", "energy")
+        history = ExecutionHistory(("size", "engine"), metrics)
+        for tick in range(40):
+            size = float(rng.uniform(10, 100))
+            flag = 1.0 if engine == "constant" else float(tick % 2)
+            costs = {
+                "time": 2.0 + 0.3 * size + float(rng.normal(0, 0.5)),
+                "money": 0.01 * size + 0.5 * flag,
+                "energy": float(rng.normal(5, 2)),
+            }
+            history.append(tick, {"size": size, "engine": flag}, costs)
+        result = OnlineDreamEstimator(r2_required=0.9, max_window=30).fit(history)
+        windows = range(4, result.window_size + 1)  # m = L + 2 .. last window
+        assert [len(window.design) for window in built] == list(windows)
+        assert all((window.normal is None) is (engine == "constant") for window in built)
+        expected = [
+            (index, m)
+            for index, m in enumerate(windows)
+            for metric in metrics
+            if result.window_sizes[metric] >= m
+        ]
+        assert fitted == expected
+        assert result.window_sizes["money"] < result.window_sizes["energy"] == 30
 
 
 # ---------------------------------------------------------------------------

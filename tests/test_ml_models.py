@@ -1,4 +1,4 @@
-"""Tests for the from-scratch learners: OLS, trees, bagging, MLP, k-NN."""
+"""Tests for the from-scratch learners: OLS, trees, bagging, MLP."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from repro.common.rng import RngStream
 from repro.ml import (
     BaggingRegressor,
     Dataset,
-    KNNRegressor,
     MLPRegressor,
     MultipleLinearRegression,
     RegressionTree,
@@ -270,25 +269,6 @@ class TestMLP:
         X, y = linear_data(n=40)
         model = MLPRegressor(hidden=(8, 8), epochs=100).fit(X, y)
         assert np.all(np.isfinite(model.predict(X)))
-
-
-class TestKNN:
-    def test_exact_match_returns_neighbour_value(self):
-        X = np.array([[0.0], [1.0], [2.0]])
-        y = np.array([5.0, 7.0, 9.0])
-        model = KNNRegressor(k=2).fit(X, y)
-        assert model.predict(np.array([1.0])) == pytest.approx(7.0)
-
-    def test_interpolates_between_neighbours(self):
-        X = np.array([[0.0], [2.0]])
-        y = np.array([0.0, 10.0])
-        model = KNNRegressor(k=2).fit(X, y)
-        assert model.predict(np.array([1.0])) == pytest.approx(5.0)
-
-    def test_k_larger_than_data(self):
-        X = np.array([[0.0], [1.0]])
-        model = KNNRegressor(k=10).fit(X, np.array([1.0, 3.0]))
-        assert np.isfinite(model.predict(np.array([0.5])))
 
 
 class TestDataset:

@@ -1,4 +1,4 @@
-"""Tests for Schema, Table and CSV round-trips."""
+"""Tests for Schema and Table."""
 
 import datetime
 
@@ -6,7 +6,6 @@ import pytest
 
 from repro.common.errors import SchemaError
 from repro.relational import Column, DataType, Schema, Table
-from repro.relational.csv_io import read_csv, write_csv
 from repro.relational.table import infer_schema, table_from_dicts
 
 
@@ -135,26 +134,3 @@ class TestDictConstruction:
         with pytest.raises(SchemaError):
             infer_schema("t", [{"a": None}])
 
-
-class TestCsvRoundTrip:
-    def test_round_trip(self, tmp_path):
-        table = sample_table()
-        path = tmp_path / "people.csv"
-        write_csv(table, path)
-        loaded = read_csv(path, table.schema, "people")
-        assert loaded.to_rows() == table.to_rows()
-
-    def test_header_mismatch_rejected(self, tmp_path):
-        table = sample_table()
-        path = tmp_path / "people.csv"
-        write_csv(table, path)
-        wrong = Schema([Column("zz", DataType.INTEGER)])
-        with pytest.raises(SchemaError):
-            read_csv(path, wrong)
-
-    def test_null_encoding(self, tmp_path):
-        path = tmp_path / "t.csv"
-        write_csv(sample_table(), path)
-        loaded = read_csv(path, sample_schema())
-        assert loaded.row(2)[1] is None
-        assert loaded.row(2)[3] is None
