@@ -19,11 +19,15 @@ submissions — runs four times on identical fresh gateways:
 
 Reported and persisted to ``benchmarks/results/BENCH_durability.json``
 (a CI artifact, like ``BENCH_gateway.json``): per-mode wall time, QPS,
-overhead ratio vs the in-memory baseline, and the WAL's physical
-footprint (segments + checkpoint bytes).  Only the ``off`` ratio is
-asserted (with CI-noise headroom over the ~1.1x target); ``batch`` and
-``always`` prices are recorded, not gated — they depend on the host's
-fsync latency, which CI runners do not control.
+overhead ratio vs the in-memory baseline, the WAL's physical footprint
+(segments + checkpoint bytes), and every checkpoint's wall time and
+manifest bytes.  Asserted: the ``off`` ratio (with CI-noise headroom
+over the ~1.1x target), and per durable mode that checkpoint cost stays
+flat over the run — the manifest never grows by more than its counters'
+extra digits, and the median checkpoint of the last decile takes at
+most ``CHECKPOINT_FLAT_CEILING`` times the first decile's.  ``batch``
+and ``always`` prices are recorded, not gated — they depend on the
+host's fsync latency, which CI runners do not control.
 
 Run standalone:  PYTHONPATH=src python benchmarks/bench_durability.py [--quick]
 """
@@ -34,18 +38,22 @@ import argparse
 import json
 import os
 import shutil
+import statistics
 import tempfile
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 from repro.common.rng import RngStream
+from repro.core import wal
 from repro.federation import (
     BatchObserveRequest,
     DurabilityConfig,
     FederationConfig,
     SubmitRequest,
 )
+from repro.federation.durability import DurabilityManager
 from repro.midas import MEDICAL_QUERIES, MidasSystem
 
 from bench_gateway_throughput import (
@@ -68,6 +76,22 @@ OFF_OVERHEAD_CEILING = 1.35
 
 MODES = ("off", "batch", "always")
 
+#: Asserted ceiling on the last decile's median checkpoint time over the
+#: first decile's: checkpoint cost must not grow with the run.
+CHECKPOINT_FLAT_CEILING = 2.0
+#: Fewest checkpoints in a "decile" (a quick run cuts about a dozen).
+DECILE_MIN = 3
+#: Allowed manifest growth over the run: its counters gain digits.
+CHECKPOINT_DIGIT_SLACK = 8
+#: The same decile ratio measured in two ``--quick`` runs (2 cores) on
+#: the code that wrote every history row and audit record into each
+#: checkpoint (9-11 -> 38-44 ms under "off", checkpoint 53 kB -> 598 kB).
+FULL_SNAPSHOT_DECILE_RATIO = {
+    "off": (3.48, 4.76),
+    "batch": (3.07, 3.94),
+    "always": (3.41, 6.09),
+}
+
 
 @dataclass(frozen=True)
 class ModeResult:
@@ -80,10 +104,23 @@ class ModeResult:
     failed: int
     wal_bytes: int
     wal_segments: int
+    #: Wall milliseconds and manifest bytes of every checkpoint, in order.
+    checkpoint_ms: tuple[float, ...] = ()
+    checkpoint_bytes: tuple[int, ...] = ()
 
     @property
     def qps(self) -> float:
         return self.requests / self.seconds
+
+    def decile_ms(self) -> tuple[float, float]:
+        """Median checkpoint ms of the first and of the last decile (at
+        least ``DECILE_MIN`` checkpoints each, so one slow fsync cannot
+        decide the ratio)."""
+        tenth = max(DECILE_MIN, len(self.checkpoint_ms) // 10)
+        return (
+            statistics.median(self.checkpoint_ms[:tenth]),
+            statistics.median(self.checkpoint_ms[-tenth:]),
+        )
 
 
 @dataclass(frozen=True)
@@ -131,6 +168,27 @@ def _wal_footprint(directory: Path | None) -> tuple[int, int]:
     )
 
 
+@contextmanager
+def timed_checkpoints():
+    """Record the wall time of every checkpoint a durability manager
+    cuts, and the manifest bytes it leaves behind."""
+    real = DurabilityManager._checkpoint_locked
+    times: list[float] = []
+    sizes: list[int] = []
+
+    def timed(manager):
+        started = time.perf_counter()
+        real(manager)
+        times.append((time.perf_counter() - started) * 1e3)
+        sizes.append((manager._directory / wal.CHECKPOINT_NAME).stat().st_size)
+
+    DurabilityManager._checkpoint_locked = timed
+    try:
+        yield times, sizes
+    finally:
+        DurabilityManager._checkpoint_locked = real
+
+
 def run_mode(mode: str, total: int) -> ModeResult:
     """One full ingest+drain replay; ``mode`` "memory" skips the WAL."""
     wal_dir: Path | None = None
@@ -143,15 +201,16 @@ def run_mode(mode: str, total: int) -> ModeResult:
         traffic, requests = build_traffic(keys, total, RngStream(5, "bench-ingest"))
         tickets: list = []
         try:
-            started = time.perf_counter()
-            for request in traffic:
-                admitted = midas.gateway.ingest(request)
-                if isinstance(admitted, list):
-                    tickets.extend(admitted)
-                else:
-                    tickets.append(admitted)
-            midas.gateway.drain()
-            seconds = time.perf_counter() - started
+            with timed_checkpoints() as (checkpoint_ms, checkpoint_bytes):
+                started = time.perf_counter()
+                for request in traffic:
+                    admitted = midas.gateway.ingest(request)
+                    if isinstance(admitted, list):
+                        tickets.extend(admitted)
+                    else:
+                        tickets.append(admitted)
+                midas.gateway.drain()
+                seconds = time.perf_counter() - started
             failed = sum(1 for ticket in tickets if ticket.error is not None)
             fits = midas.gateway.serving_stats.fits
         finally:
@@ -165,6 +224,8 @@ def run_mode(mode: str, total: int) -> ModeResult:
             failed=failed,
             wal_bytes=wal_bytes,
             wal_segments=wal_segments,
+            checkpoint_ms=tuple(checkpoint_ms),
+            checkpoint_bytes=tuple(checkpoint_bytes),
         )
     finally:
         if wal_dir is not None:
@@ -195,16 +256,32 @@ def format_report(report: DurabilityReport) -> str:
         f"({report.memory.qps:8.1f} req/s)  <- baseline",
     ]
     for result in report.modes:
+        first, last = result.decile_ms()
         lines.append(
             f"fsync={result.mode:<7}: {result.seconds:8.2f} s "
             f"({result.qps:8.1f} req/s)  {report.overhead(result):5.3f}x, "
-            f"wal={result.wal_bytes / 1e6:.1f} MB in {result.wal_segments} segment(s)"
+            f"wal={result.wal_bytes / 1e6:.1f} MB in {result.wal_segments} segment(s), "
+            f"{len(result.checkpoint_ms)} checkpoints {first:.2f} -> {last:.2f} ms, "
+            f"{min(result.checkpoint_bytes)}-{max(result.checkpoint_bytes)} B"
         )
     lines.append(
         f"fsync=off target : <= {OFF_OVERHEAD_TARGET}x "
         f"(asserted ceiling {OFF_OVERHEAD_CEILING}x for CI noise)"
     )
     return "\n".join(lines)
+
+
+def _checkpoint_fields(result: ModeResult) -> dict:
+    first, last = result.decile_ms()
+    return {
+        "checkpoints": len(result.checkpoint_ms),
+        "checkpoint_ms_first_decile": round(first, 3),
+        "checkpoint_ms_last_decile": round(last, 3),
+        "checkpoint_decile_ratio": round(last / first, 3),
+        "full_snapshot_decile_ratio": FULL_SNAPSHOT_DECILE_RATIO[result.mode],
+        "checkpoint_bytes_first": result.checkpoint_bytes[0],
+        "checkpoint_bytes_max": max(result.checkpoint_bytes),
+    }
 
 
 def write_json(report: DurabilityReport) -> None:
@@ -218,6 +295,7 @@ def write_json(report: DurabilityReport) -> None:
         "host_cpu_count": os.cpu_count(),
         "off_overhead_target": OFF_OVERHEAD_TARGET,
         "off_overhead_ceiling": OFF_OVERHEAD_CEILING,
+        "checkpoint_flat_ceiling": CHECKPOINT_FLAT_CEILING,
         "memory": {
             "seconds": round(report.memory.seconds, 3),
             "qps": round(report.memory.qps, 1),
@@ -231,6 +309,7 @@ def write_json(report: DurabilityReport) -> None:
                 "fits": result.fits,
                 "wal_bytes": result.wal_bytes,
                 "wal_segments": result.wal_segments,
+                **_checkpoint_fields(result),
             }
             for result in report.modes
         },
@@ -248,7 +327,18 @@ def check_report(report: DurabilityReport) -> None:
         assert result.failed == 0, (result.mode, result.failed)
         assert result.fits == report.memory.fits, result.mode
     for mode in MODES:
-        assert by_mode[mode].wal_bytes > 0, mode
+        result = by_mode[mode]
+        assert result.wal_bytes > 0, mode
+        # Checkpoint cost flat over the run: a constant-size manifest,
+        # and no slower at the end than at the start.
+        assert len(result.checkpoint_ms) >= 10, (mode, len(result.checkpoint_ms))
+        growth = max(result.checkpoint_bytes) - result.checkpoint_bytes[0]
+        assert growth <= CHECKPOINT_DIGIT_SLACK, (mode, result.checkpoint_bytes)
+        first, last = result.decile_ms()
+        assert last <= CHECKPOINT_FLAT_CEILING * first, (
+            f"fsync={mode!r}: last-decile checkpoint {last:.2f} ms is over "
+            f"{CHECKPOINT_FLAT_CEILING}x the first decile's {first:.2f} ms"
+        )
     # The acceptance gate: journaling without fsync is near-free.
     off_overhead = report.overhead(by_mode["off"])
     assert off_overhead <= OFF_OVERHEAD_CEILING, (

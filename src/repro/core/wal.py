@@ -21,11 +21,12 @@ one of two outcomes:
   That is never a crash artifact, so it raises
   :class:`WalCorruptionError` instead of being silently dropped.
 
-Segments are named ``wal-<n>.log`` and rotate at every compacting
-checkpoint; the checkpoint file itself is one framed record written to a
-temp file, fsynced, then atomically renamed (and the rename fsynced via
-the directory) — so a half-written checkpoint can never shadow a good
-one.
+Segments are named ``wal-<n>.log``, rotate at every checkpoint and are
+never deleted: sealed segments are the journal's archive.  The
+checkpoint file itself is a small manifest, one framed record written
+to a temp file, fsynced, then atomically renamed (and the rename fsynced
+via the directory) — so a half-written checkpoint can never shadow a
+good one.
 """
 
 from __future__ import annotations
@@ -201,10 +202,11 @@ def write_checkpoint(directory: Path, payload: dict, fsync: str = "batch") -> No
     checkpoint or the new one, never a torn hybrid.
 
     Unless ``fsync`` is ``"off"``, the directory is fsynced after the
-    rename, so the rename is on stable storage before the caller unlinks
-    the segments the checkpoint supersedes.  Without it an OS crash can
-    keep those unlinks and lose the rename: the old checkpoint comes
-    back, and the segments that led from it to the new one are gone.
+    rename.  That puts the rename on stable storage before the call
+    returns, and with it the directory entry of every segment the caller
+    created before checkpointing — so an OS crash cannot lose one
+    segment's name while keeping a later one's, which recovery would
+    have to refuse as a gap.
     """
     directory = Path(directory)
     tmp = directory / _CHECKPOINT_TMP

@@ -137,7 +137,7 @@ class FederationConfig:
         The durability plane
         (:class:`~repro.federation.durability.DurabilityConfig`): every
         state-changing event is write-ahead-logged to ``dir`` under the
-        chosen ``fsync`` policy with periodic compacting checkpoints,
+        chosen ``fsync`` policy with periodic anchoring checkpoints,
         and ``gateway.recover()`` replays a crashed gateway's journal
         into a bitwise-equal state.  ``None`` (the default) keeps all
         state in memory, exactly as before.

@@ -5,11 +5,22 @@ table, the audit hash chain, tick/rotation counters, the simulator's
 noise-stream position — lives in the parent process; before this module
 a gateway crash lost every observation the federation had learned from.
 :class:`DurabilityManager` journals each state-changing event to a
-:mod:`repro.core.wal` segment as it commits, cuts a compacting
-checkpoint every ``checkpoint_every`` records, and replays both on
+:mod:`repro.core.wal` segment as it commits, cuts a checkpoint every
+``checkpoint_every`` records, and replays the journal on
 :meth:`~repro.federation.gateway.FederationGateway.recover` into a state
 bitwise-equal to a never-crashed gateway (the same restart-equivalence
 bar the chaos harness holds worker crashes to).
+
+History rows and audit records are append-only and already sit in the
+segments, so the sealed segments *are* their archive and a checkpoint
+copies none of them (the anchoring checkpoint of ARIES, Mohan et al.,
+TODS 1992).  A checkpoint seals the live segment (its close fsyncs
+unless ``fsync="off"``), opens the next, and atomically writes a
+constant-size manifest: the lsn, the next segment number, the count of
+journaled audit records and the audit head hash.  Checkpoint cost is
+therefore independent of run length.  No segment is ever unlinked: the
+journal's disk footprint grows with the run, and recovery reads every
+journaled row once.
 
 Journaled event types (one JSON payload each, ``"t"`` discriminates):
 
@@ -37,17 +48,21 @@ Journaled event types (one JSON payload each, ``"t"`` discriminates):
   migration/resize (rebalance decisions are timing-dependent, so routes
   are journaled, never re-derived).
 
-Every payload carries a monotone ``lsn``; the checkpoint records the lsn
-it compacted through, and replay skips nothing — each apply step is
-idempotent by construction (absolute values, size guards, seq guards),
-so the checkpoint/segment race needs no fragile lsn arithmetic.
+Every payload carries a monotone ``lsn``.  Recovery reads the manifest,
+then replays every segment from 1 in order; each apply step is
+idempotent by construction (absolute values, size guards, seq guards).
+Segment numbers must run contiguously from 1 and reach the manifest's
+lsn, and the rebuilt audit chain must land on the manifest's head hash
+at the manifest's record count.
 
-Torn tails (the file ends mid-record) are crash artifacts: recovery
-truncates to the last intact record and reports the dropped bytes.
-Mid-file damage (a fully-present record failing its CRC32), a journal
-that contradicts the live gateway, or traffic offered before
-``recover()`` all raise :class:`~repro.federation.errors.DurabilityError`
-— never a silent partial state.
+Torn tails (the final segment ends mid-record) are crash artifacts:
+recovery truncates that segment to its last intact record, reports the
+dropped bytes and resumes in the next segment, so a later recovery
+never meets a torn non-final segment.  Mid-file damage (a fully-present
+record failing its CRC32), a missing segment, a journal that
+contradicts the live gateway, or traffic offered before ``recover()``
+all raise :class:`~repro.federation.errors.DurabilityError` — never a
+silent partial state.
 """
 
 from __future__ import annotations
@@ -63,7 +78,7 @@ from repro.federation.envelopes import RecoveryReport
 from repro.federation.errors import DurabilityError, GatewayConfigError
 from repro.governance.audit import GENESIS_HASH, AuditLog, AuditRecord, verify_chain
 
-#: Default number of WAL records between compacting checkpoints.
+#: Default number of WAL records per segment (between checkpoints).
 DEFAULT_CHECKPOINT_EVERY = 256
 
 
@@ -83,9 +98,10 @@ class DurabilityConfig:
         ``"always"`` | ``"batch"`` | ``"off"`` — see
         :class:`repro.core.wal.WalWriter` for the exact guarantees.
     checkpoint_every:
-        Records between compacting checkpoints (``None`` disables
-        periodic compaction; the WAL then grows until ``recover()`` or
-        an explicit checkpoint).
+        Records per WAL segment: after this many records the live
+        segment is sealed and an anchor manifest written (``None``
+        disables periodic checkpoints; the journal then stays in one
+        segment until ``recover()`` or an explicit checkpoint).
     """
 
     dir: str | os.PathLike
@@ -119,9 +135,9 @@ class _JournalState:
     routes: dict | None = None
     workers: int | None = None
     rng: dict | None = None
+    #: The manifest's anchor (``audit_head`` is None without a manifest).
     audit_head: str | None = None
-    audit_checkpoint_count: int = 0
-    checkpoint_rows: dict = field(default_factory=dict)
+    audit_count: int = 0
     checkpoint_lsn: int = 0
 
 
@@ -140,13 +156,10 @@ class DurabilityManager:
 
     Lock discipline: ``_lock`` serialises every append and the
     checkpoint cut.  It is taken *after* whatever template lock the
-    journaling operation holds and takes only the audit log's lock
-    (read-only, inside checkpoints) below it; it never touches the
-    gateway mutex or any serving-layer lock, so it cannot participate in
-    a cycle with them.  Checkpoint snapshots read the gateway's tick and
-    rotation counters without the gateway mutex — both are monotone and
-    every ``row`` record carries their absolute values, so a racy read
-    is corrected by the very next record on replay.
+    journaling operation holds and takes no lock below it — a
+    checkpoint reads only the manager's own counters — so it cannot
+    participate in a cycle with the gateway mutex, the audit log's lock
+    or any serving-layer lock.
     """
 
     def __init__(self, gateway, config: DurabilityConfig):
@@ -159,9 +172,9 @@ class DurabilityManager:
         self._segment = 0
         self._lsn = 0
         self._since_checkpoint = 0
-        self._routes: dict | None = None
-        self._workers: int | None = None
-        self._fit_versions: dict[str, int] = {}
+        #: The journaled audit chain's length and head (the anchor).
+        self._audit_count = 0
+        self._audit_head = GENESIS_HASH
         self._closed = False
         #: True while the directory holds un-replayed state: journaling
         #: is suspended and traffic is refused until ``recover()``.
@@ -220,19 +233,19 @@ class DurabilityManager:
 
     def note_audit(self, record: AuditRecord) -> None:
         with self._lock:
-            if self.pending or self._closed:
+            if self.pending or self._closed or self._writer is None:
                 return  # journaling suspended: _append would drop it
+            # The sink runs outside the audit log's lock, so records may
+            # arrive out of seq order; the anchor is the highest seq.
+            if record.seq >= self._audit_count:
+                self._audit_count = record.seq + 1
+                self._audit_head = record.hash
             self._append({"t": "audit", "record": _audit_fields(record)})
 
     def note_fit(self, key: str, version: int) -> None:
-        with self._lock:
-            self._fit_versions[key] = version
         self._append({"t": "fit", "key": key, "version": version})
 
     def note_topology(self, routes: dict, workers: int) -> None:
-        with self._lock:
-            self._routes = dict(routes)
-            self._workers = workers
         self._append({"t": "topology", "routes": dict(routes), "workers": workers})
 
     def _append(self, payload: dict) -> None:
@@ -266,60 +279,26 @@ class DurabilityManager:
     # Checkpoints ------------------------------------------------------------
 
     def checkpoint(self) -> None:
-        """Cut a compacting checkpoint now: full state snapshot, new
-        segment, old segments deleted."""
+        """Cut a checkpoint now: seal the live segment, open the next
+        and write the anchor manifest."""
         with self._lock:
             if self.pending or self._closed:
                 return
             self._checkpoint_locked()
 
     def _checkpoint_locked(self) -> None:
-        payload = {
-            "lsn": self._lsn,
-            "segment": self._segment + 1,
-            "state": self._snapshot(),
-        }
-        wal.write_checkpoint(self._directory, payload, fsync=self.config.fsync)
         self._open_segment(self._segment + 1)
-        for segment in wal.list_segments(self._directory):
-            if wal.segment_number(segment) < self._segment:
-                segment.unlink()
+        wal.write_checkpoint(
+            self._directory,
+            {
+                "lsn": self._lsn,
+                "segment": self._segment,
+                "audit_count": self._audit_count,
+                "audit_head": self._audit_head,
+            },
+            fsync=self.config.fsync,
+        )
         self._since_checkpoint = 0
-
-    def _snapshot(self) -> dict:
-        gateway = self._gateway
-        engine = gateway.engine
-        registrations, rows = [], {}
-        for key in sorted(gateway._keys):
-            history = engine.history(key)
-            registrations.append(
-                {
-                    "key": key,
-                    "features": list(history.feature_names),
-                    "metrics": list(history.metric_names),
-                }
-            )
-            rows[key] = history.export_rows()
-        audit = gateway._audit
-        simulator = getattr(engine.executor, "simulator", None)
-        return {
-            "tick": gateway._tick,
-            "rotation": dict(gateway._rotation),
-            "registrations": registrations,
-            "rows": rows,
-            "routes": self._routes,
-            "workers": self._workers,
-            "audit": (
-                None if audit is None else [_audit_fields(r) for r in audit.records()]
-            ),
-            "audit_head": None if audit is None else audit.head_hash,
-            "rng": (
-                simulator.rng_state()
-                if hasattr(simulator, "rng_state")
-                else None
-            ),
-            "fit_versions": dict(self._fit_versions),
-        }
 
     def _open_segment(self, number: int) -> None:
         if self._writer is not None:
@@ -332,15 +311,18 @@ class DurabilityManager:
     # Recovery ---------------------------------------------------------------
 
     def recover(self) -> RecoveryReport:
-        """Replay the directory's checkpoint + WAL into the gateway.
+        """Replay the directory's WAL segments into the gateway.
 
         The gateway must be freshly constructed with its templates
         re-registered (``MidasSystem`` does this at construction); the
         journal's registration fingerprints are validated against the
         live ones, then rows, counters, routes, the audit chain and the
-        simulator RNG position are restored, snapshots warmed for every
-        template that was fresh at the crash, and a fresh compacting
-        checkpoint cut so journaling resumes from a clean segment.
+        simulator RNG position are restored and snapshots warmed for
+        every template that was fresh at the crash.  A torn final
+        segment is truncated to its last intact record, and a checkpoint
+        opens the next segment, where journaling resumes.  Live
+        templates the journal never registered are journaled then, so
+        the journal fingerprints every template it holds rows for.
         """
         with self._lock:
             if not self.pending:
@@ -350,14 +332,20 @@ class DurabilityManager:
             except WalCorruptionError as error:
                 raise DurabilityError(str(error)) from error
             rows = self._apply(state)
+            if stats["torn"] is not None:
+                wal.truncate_segment(*stats["torn"])
             self.pending = False
             self._lsn = max(self._lsn, stats["lsn"])
-            self._routes = state.routes
-            self._workers = state.workers
-            self._fit_versions = dict(state.fit_versions)
+            audit = self._gateway._audit
+            if audit is not None:
+                self._audit_count, self._audit_head = len(audit), audit.head_hash
             warmed = self._warm_snapshots(state)
-            self._open_segment(stats["segment"])
+            self._segment = stats["segments"]
             self._checkpoint_locked()
+            gateway = self._gateway
+            for key in sorted(gateway._keys - state.registrations.keys()):
+                history = gateway.engine.history(key)
+                self.note_register(key, history.feature_names, history.metric_names)
             return RecoveryReport(
                 recovered=True,
                 checkpoint_lsn=state.checkpoint_lsn,
@@ -373,60 +361,53 @@ class DurabilityManager:
             )
 
     def _read_journal(self) -> tuple[_JournalState, dict]:
-        """Parse checkpoint + segments into one replay accumulator."""
+        """Parse the manifest + every segment into one replay accumulator."""
         state = _JournalState()
-        checkpoint = wal.read_checkpoint(self._directory)
-        first_segment = 1
-        if checkpoint is not None:
-            snapshot = checkpoint["state"]
-            state.checkpoint_lsn = checkpoint["lsn"]
-            first_segment = checkpoint["segment"]
-            state.tick = snapshot["tick"]
-            state.rotation = dict(snapshot["rotation"])
-            for registration in snapshot["registrations"]:
-                state.registrations[registration["key"]] = registration
-            state.checkpoint_rows = snapshot["rows"]
-            state.routes = snapshot["routes"]
-            state.workers = snapshot["workers"]
-            state.rng = snapshot["rng"]
-            state.audit_head = snapshot["audit_head"]
-            state.fit_versions = dict(snapshot["fit_versions"])
-            if snapshot["audit"] is not None:
-                state.audit_checkpoint_count = len(snapshot["audit"])
-                for record in snapshot["audit"]:
-                    state.audit[record["seq"]] = record
-        segments = [
-            path
-            for path in wal.list_segments(self._directory)
-            if wal.segment_number(path) >= first_segment
-        ]
-        lsn = state.checkpoint_lsn
-        records = torn_bytes = 0
-        last_number = (
-            wal.segment_number(segments[-1]) if segments else first_segment
-        )
+        manifest = wal.read_checkpoint(self._directory)
+        if manifest is not None:
+            state.checkpoint_lsn = manifest["lsn"]
+            state.audit_count = manifest["audit_count"]
+            state.audit_head = manifest["audit_head"]
+        segments = wal.list_segments(self._directory)
+        numbers = [wal.segment_number(path) for path in segments]
+        for expected, number in enumerate(numbers, start=1):
+            if number != expected:
+                raise DurabilityError(
+                    f"{wal.segment_name(expected)} is missing: WAL segments "
+                    f"must run contiguously from 1, and {wal.segment_name(number)} "
+                    "follows"
+                )
+        lsn = records = torn_bytes = 0
+        torn = None
         for path in segments:
             scan = wal.scan_segment(path)
-            if scan.torn_bytes and wal.segment_number(path) != last_number:
-                raise DurabilityError(
-                    f"{path.name}: torn tail in a non-final WAL segment — "
-                    "segments rotate only at record boundaries, so this is "
-                    "corruption, not a crash artifact"
-                )
-            torn_bytes += scan.torn_bytes
+            if scan.torn_bytes:
+                if path != segments[-1]:
+                    raise DurabilityError(
+                        f"{path.name}: torn tail in a non-final WAL segment — "
+                        "segments rotate only at record boundaries, so this "
+                        "is corruption, not a crash artifact"
+                    )
+                torn_bytes = scan.torn_bytes
+                torn = (path, scan.valid_bytes)
             for payload in scan.records:
                 records += 1
                 lsn = max(lsn, payload["lsn"])
                 self._fold(state, payload)
+        if manifest is not None and (
+            lsn < manifest["lsn"] or len(numbers) < manifest["segment"] - 1
+        ):
+            raise DurabilityError(
+                f"the journal ends at segment {len(numbers)}, lsn {lsn}, but "
+                f"the checkpoint anchors segments through "
+                f"{manifest['segment'] - 1}, lsn {manifest['lsn']}"
+            )
         return state, {
             "lsn": lsn,
-            "segments": len(segments),
+            "segments": len(numbers),
             "records": records,
             "torn_bytes": torn_bytes,
-            "segment": max(
-                [wal.segment_number(p) for p in segments] + [first_segment]
-            )
-            + 1,
+            "torn": torn,
         }
 
     @staticmethod
@@ -483,15 +464,9 @@ class DurabilityManager:
                     "recover() needs a fresh gateway",
                     template=key,
                 )
-        # 2. Rows: checkpoint prefix first, then WAL records in lsn
-        #    order.  The size guard makes double-captured rows (a
-        #    checkpoint racing an append) no-ops.
+        # 2. Rows, in journal order.  The size guard makes a row
+        #    journaled twice a no-op.
         replayed = 0
-        for key, rows in sorted(state.checkpoint_rows.items()):
-            history = engine.history(key)
-            for tick, features, costs in rows:
-                history.append(tick, features, costs)
-                replayed += 1
         for payload in state.rows:
             history = engine.history(payload["key"])
             if history.size >= payload["size"]:
@@ -527,7 +502,7 @@ class DurabilityManager:
 
     def _restore_audit(self, state: _JournalState) -> None:
         gateway = self._gateway
-        if not state.audit:
+        if not state.audit and not state.audit_count:
             return
         if gateway._audit is None:
             raise DurabilityError(
@@ -550,13 +525,14 @@ class DurabilityManager:
                 "recovered audit records do not form an intact hash chain"
             )
         if state.audit_head is not None:
-            # Head-hash anchor: the chain rebuilt up to the checkpoint
-            # boundary must land exactly on the head the checkpoint
+            # Head-hash anchor: the chain rebuilt up to the manifest's
+            # record count must land exactly on the head the manifest
             # recorded (catches a forged-but-internally-consistent
             # replacement chain, which verify_chain alone cannot).
-            count = state.audit_checkpoint_count
-            expected = GENESIS_HASH if count == 0 else records[count - 1].hash
-            if expected != state.audit_head:
+            count = state.audit_count
+            if count > len(records) or (
+                records[count - 1].hash if count else GENESIS_HASH
+            ) != state.audit_head:
                 raise DurabilityError(
                     "recovered audit chain does not anchor on the "
                     "checkpoint's head hash"

@@ -445,9 +445,9 @@ class RecoveryReport:
     """
 
     recovered: bool
-    #: LSN the checkpoint had compacted through (0 without a checkpoint).
+    #: LSN the checkpoint manifest anchored (0 without a checkpoint).
     checkpoint_lsn: int = 0
-    #: WAL segments scanned past the checkpoint.
+    #: WAL segments replayed (every one, from segment 1).
     segments: int = 0
     #: WAL records replayed (all types).
     records: int = 0

@@ -169,8 +169,8 @@ class AuditLog:
     ``records()`` returns an immutable snapshot tuple.  ``sink``, when
     given, is called with each record *after* its append commits and
     outside the log's lock (the durability subsystem journals records
-    to the WAL this way; calling out under the lock would invert its
-    order against the WAL manager's checkpoint reads).
+    to the WAL this way; a journal append may cut a checkpoint, and
+    its fsyncs must not run under the log's lock).
     """
 
     def __init__(self, sink=None):

@@ -367,18 +367,26 @@ def run_recovery_chaos(
     checkpoint_every=None,
     governance=None,
     mutate_wal=None,
+    before_kill=None,
 ) -> RecoveryLog:
     """Kill a durable gateway at traffic offset ``crash_at``, recover a
     fresh one over the same directory, and assert the stitched run is
     bitwise-equal to a never-crashed oracle.
 
-    ``mutate_wal(directory)``, fired between the kill and the recovery,
-    plants crash artifacts (:func:`inject_torn_tail`) — anything it adds
-    must be truncated away without disturbing equivalence.  The audit
-    clock is pinned for the duration so chain heads are comparable.
+    ``crash_at`` may also be a sequence of offsets: the recovered
+    gateway serves on to the next offset, is killed there and recovered
+    again, and so on.  ``before_kill(gateway)`` fires on each doomed
+    gateway just before its kill (a crash inside a checkpoint is planted
+    this way); ``mutate_wal(directory)``, fired between each kill and
+    the recovery after it, plants crash artifacts
+    (:func:`inject_torn_tail`) — anything it adds must be truncated away
+    without disturbing equivalence.  ``report`` is the last recovery's.
+    The audit clock is pinned for the duration so chain heads are
+    comparable.
     """
     traffic = build_gateway_traffic(script, seed)
-    crash_at = max(0, min(crash_at, len(traffic)))
+    offsets = (crash_at,) if isinstance(crash_at, int) else tuple(crash_at)
+    bounds = sorted(max(0, min(offset, len(traffic))) for offset in offsets)
     overrides = {} if governance is None else {"governance": governance}
     base = gateway_config(backend, **overrides)
     durable = replace(
@@ -404,37 +412,39 @@ def run_recovery_chaos(
             oracle_midas.gateway.close()
         oracle = (oracle_outcomes, oracle_fits, oracle_observations)
         outcomes = []
-
-        crashed = MidasSystem(patient_count=250, seed=seed, config=durable)
-        try:
-            _drive(crashed.gateway, traffic[:crash_at], outcomes)
-            log.fits_before = crashed.gateway.serving_stats.fits
-        finally:
-            # The "kill": tear down processes without the checkpoint a
-            # graceful shutdown would have cut — recovery must work
-            # from the raw journal.
-            crashed.gateway.close()
-        log.outcomes_before = len(outcomes)
-        if mutate_wal is not None:
-            mutate_wal(Path(durability_dir))
-
-        revived = MidasSystem(patient_count=250, seed=seed, config=durable)
-        try:
-            log.report = revived.gateway.recover()
-            _drive(revived.gateway, traffic[crash_at:], outcomes)
-            fits = revived.gateway.serving_stats.fits
-            observations = revived.gateway.serving_stats.observations
-            if revived.gateway.audit_log is not None:
-                log.audit_head = revived.gateway.audit_log.head_hash
-        finally:
-            revived.gateway.close()
+        fits = warmed = start = 0
+        for life, end in enumerate([*bounds, len(traffic)]):
+            midas = MidasSystem(patient_count=250, seed=seed, config=durable)
+            try:
+                if life:
+                    log.report = midas.gateway.recover()
+                    warmed += log.report.warmed_fits
+                _drive(midas.gateway, traffic[start:end], outcomes)
+                fits += midas.gateway.serving_stats.fits
+                if life == len(bounds):
+                    observations = midas.gateway.serving_stats.observations
+                    if midas.gateway.audit_log is not None:
+                        log.audit_head = midas.gateway.audit_log.head_hash
+                elif before_kill is not None:
+                    before_kill(midas.gateway)
+            finally:
+                # The "kill": tear down processes without the checkpoint a
+                # graceful shutdown would have cut — recovery must work
+                # from the raw journal.
+                midas.gateway.close()
+            if life == 0:
+                log.fits_before = fits
+                log.outcomes_before = len(outcomes)
+            if life < len(bounds) and mutate_wal is not None:
+                mutate_wal(Path(durability_dir))
+            start = end
         log.outcomes_after = len(outcomes) - log.outcomes_before
-        log.fits_total = log.fits_before + fits
+        log.fits_total = fits
 
         # Restart equivalence: the crash must be invisible.  Warm-up
         # fits (snapshots re-fitted at recovery because they were fresh
         # at the kill) are the one legitimate double-count.
-        stitched_fits = log.fits_before + fits - log.report.warmed_fits
+        stitched_fits = fits - warmed
         assert_gateway_outcomes_equal(
             oracle, (outcomes, stitched_fits, observations)
         )

@@ -16,7 +16,7 @@ Layered like the subsystem itself:
 
 import os
 import stat
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -31,7 +31,7 @@ from repro.federation import (
     ObserveRequest,
 )
 from repro.governance import GovernanceConfig, verify_chain, verify_chain_file
-from repro.midas import MidasSystem
+from repro.midas import MEDICAL_QUERIES, MidasSystem
 from tests.chaos import (
     inject_bit_flip,
     inject_torn_tail,
@@ -136,29 +136,46 @@ class TestWalPrimitives:
         assert wal.read_checkpoint(tmp_path)["lsn"] == 2
 
     @pytest.mark.parametrize("fsync", ["batch", "off"])
-    def test_checkpoint_rename_is_fsynced_before_segments_are_unlinked(
+    def test_seal_fsynced_before_manifest_rename(
         self, tmp_path, monkeypatch, fsync
     ):
-        """An OS crash must not keep the unlinks of superseded segments
-        and lose the checkpoint rename that superseded them."""
+        """A manifest must never reach disk ahead of the segment it
+        seals, and its rename is on stable storage when the checkpoint
+        returns — except under ``"off"``, which fsyncs neither.  No
+        segment is ever unlinked."""
         events = []
         real_fsync, real_replace, real_unlink = os.fsync, os.replace, Path.unlink
+        real_append = wal.WalWriter.append
 
         def spy_fsync(descriptor):
-            is_dir = stat.S_ISDIR(os.fstat(descriptor).st_mode)
-            events.append("fsync-dir" if is_dir else "fsync-file")
+            status = os.fstat(descriptor)
+            if stat.S_ISDIR(status.st_mode):
+                events.append(("fsync", "<dir>"))
+            else:
+                names = [
+                    path.name
+                    for path in tmp_path.iterdir()
+                    if path.stat().st_ino == status.st_ino
+                ]
+                events.append(("fsync", *names))
             real_fsync(descriptor)
 
         def spy_replace(source, target):
-            events.append("replace")
+            (manifest,) = wal.scan_segment(Path(source)).records
+            events.append(("replace", manifest["segment"]))
             real_replace(source, target)
 
+        def spy_append(writer, payload):
+            events.append(("append", writer.path.name))
+            return real_append(writer, payload)
+
         def spy_unlink(path, *args, **kwargs):
-            events.append("unlink")
+            events.append(("unlink", path.name))
             real_unlink(path, *args, **kwargs)
 
         monkeypatch.setattr(os, "fsync", spy_fsync)
         monkeypatch.setattr(os, "replace", spy_replace)
+        monkeypatch.setattr(wal.WalWriter, "append", spy_append)
         monkeypatch.setattr(Path, "unlink", spy_unlink)
         config = durable_config("threaded", tmp_path, fsync=fsync, checkpoint_every=4)
         midas = MidasSystem(patient_count=250, seed=73, config=config)
@@ -166,20 +183,19 @@ class TestWalPrimitives:
             drive_observes(midas.gateway, 12)
         finally:
             midas.gateway.close()
-        assert events.count("replace") >= 2 and "unlink" in events
-        checkpoint_events = [e for e in events if e != "fsync-file"]
-        if fsync == "off":
-            assert "fsync-dir" not in events
-            return
-        for i, event in enumerate(checkpoint_events):
-            if event == "unlink":
-                last_replace = max(
-                    j for j in range(i) if checkpoint_events[j] == "replace"
-                )
-                assert "fsync-dir" in checkpoint_events[last_replace:i]
-        assert checkpoint_events.count("fsync-dir") == checkpoint_events.count(
-            "replace"
-        )
+        renames = [i for i, event in enumerate(events) if event[0] == "replace"]
+        assert len(renames) >= 2
+        assert not [event for event in events if event[0] == "unlink"]
+        durable = fsync != "off"
+        for i in renames:
+            sealed = wal.segment_name(events[i][1] - 1)
+            last_append = max(
+                j for j in range(i) if events[j] == ("append", sealed)
+            )
+            assert (("fsync", sealed) in events[last_append:i]) == durable
+            assert (events[i + 1 : i + 2] == [("fsync", "<dir>")]) == durable
+        if not durable:
+            assert ("fsync", "<dir>") not in events
 
     def test_damaged_checkpoint_raises(self, tmp_path):
         wal.write_checkpoint(tmp_path, {"lsn": 7})
@@ -261,9 +277,11 @@ class TestCrashRecovery:
             checkpoint_every=4,
         )
         assert log.report.recovered
-        # checkpoint_every=4 forces several compactions before the kill:
-        # recovery stitched checkpoint rows and WAL rows together.
+        # checkpoint_every=4 cuts several checkpoints before the kill:
+        # recovery replayed every sealed segment behind a manifest and
+        # checked the journal against the manifest's anchor.
         assert log.report.checkpoint_lsn > 0
+        assert log.report.segments > 1
 
     def test_torn_tail_truncated_cleanly(self, tmp_path):
         log = run_recovery_chaos(
@@ -371,6 +389,33 @@ class TestCrashRecovery:
             revived.gateway._keys.add(KEY)
             revived.gateway.close()
 
+    def test_template_registered_while_pending_is_journaled_at_recovery(
+        self, tmp_path
+    ):
+        """A template first registered on a recovering gateway is
+        fingerprinted in the journal, so a later recovery without it is
+        refused rather than replaying rows into nothing."""
+        config = durable_config("threaded", tmp_path, fsync="off")
+        extra = replace(MEDICAL_QUERIES[KEY], key="late-tenant")
+        midas = MidasSystem(patient_count=250, seed=67, config=config)
+        try:
+            drive_observes(midas.gateway, 2)
+        finally:
+            midas.gateway.close()
+        revived = MidasSystem(patient_count=250, seed=67, config=config)
+        try:
+            revived.gateway.register_template(extra)
+            revived.gateway.recover()
+            revived.gateway.observe(ObserveRequest(extra.key, {"min_age": 50}))
+        finally:
+            revived.gateway.close()
+        again = MidasSystem(patient_count=250, seed=67, config=config)
+        try:
+            with pytest.raises(DurabilityError, match="re-register"):
+                again.gateway.recover()
+        finally:
+            again.gateway.close()
+
     def test_warm_snapshot_refitted_at_recovery(self, tmp_path):
         config = durable_config("threaded", tmp_path, fsync="off")
         midas = MidasSystem(patient_count=250, seed=71, config=config)
@@ -392,20 +437,134 @@ class TestCrashRecovery:
         finally:
             revived.gateway.close()
 
-    def test_compaction_bounds_segment_count(self, tmp_path):
-        config = durable_config(
-            "threaded", tmp_path, fsync="off", checkpoint_every=4
+    def test_checkpoint_bytes_do_not_grow_with_history(self, tmp_path, monkeypatch):
+        """A checkpoint writes a constant-size anchor, not the history:
+        the Nth manifest is no larger than the 2nd but for the extra
+        digits of its counters, and every segment is kept."""
+        manifests, sizes = [], []
+        real_write = wal.write_checkpoint
+
+        def spy_write(directory, payload, fsync="batch"):
+            real_write(directory, payload, fsync=fsync)
+            manifests.append(payload)
+            sizes.append((Path(directory) / wal.CHECKPOINT_NAME).stat().st_size)
+
+        monkeypatch.setattr(wal, "write_checkpoint", spy_write)
+        config = gateway_config(
+            "threaded",
+            governance=GovernanceConfig(),
+            durability=DurabilityConfig(dir=tmp_path, fsync="off", checkpoint_every=4),
         )
         midas = MidasSystem(patient_count=250, seed=73, config=config)
         try:
-            drive_observes(midas.gateway, 20)
+            drive_observes(midas.gateway, 40)
         finally:
             midas.gateway.close()
-        # 20 rows at a 4-record cadence: without compaction 6+ segments
-        # would pile up; rotation deletes everything before the live one.
-        segments = wal.list_segments(tmp_path)
-        assert len(segments) <= 2
-        assert (tmp_path / wal.CHECKPOINT_NAME).exists()
+
+        def digits(manifest):
+            return sum(
+                len(str(value)) for value in manifest.values() if isinstance(value, int)
+            )
+
+        assert len(manifests) >= 10
+        for manifest, size in zip(manifests[2:], sizes[2:]):
+            assert size <= sizes[1] + digits(manifest) - digits(manifests[1])
+        # One segment per checkpoint plus the first, none unlinked.
+        numbers = [wal.segment_number(path) for path in wal.list_segments(tmp_path)]
+        assert numbers == list(range(1, len(manifests) + 2))
+
+    def test_missing_middle_segment_raises(self, tmp_path):
+        config = durable_config("threaded", tmp_path, fsync="off", checkpoint_every=4)
+        midas = MidasSystem(patient_count=250, seed=73, config=config)
+        try:
+            drive_observes(midas.gateway, 12)
+        finally:
+            midas.gateway.close()
+        (tmp_path / wal.segment_name(2)).unlink()
+        revived = MidasSystem(patient_count=250, seed=73, config=config)
+        try:
+            with pytest.raises(DurabilityError, match="wal-000002.log is missing"):
+                revived.gateway.recover()
+        finally:
+            revived.gateway.close()
+
+    #: Where the killed checkpoint dies, and how the manifest's next
+    #: segment then relates to the last segment on disk.
+    CRASH_POINTS = {
+        "after-seal": 0,  # sealed; next segment not opened
+        "after-manifest-temp": -1,  # next segment open; temp not renamed
+        "after-rename": 0,  # manifest published; directory not fsynced
+    }
+
+    @pytest.mark.parametrize("point", sorted(CRASH_POINTS))
+    def test_crash_inside_a_checkpoint_recovers_to_the_oracle(
+        self, tmp_path, monkeypatch, point
+    ):
+        real_replace = os.replace
+
+        class Crash(Exception):
+            pass
+
+        def crash(*args, **kwargs):
+            raise Crash(point)
+
+        def rename_then_crash(source, target):
+            real_replace(source, target)
+            raise Crash(point)
+
+        def checkpoint_and_die(gateway):
+            with monkeypatch.context() as patch:
+                if point == "after-seal":
+                    patch.setattr(wal, "WalWriter", crash)
+                elif point == "after-manifest-temp":
+                    patch.setattr(os, "replace", crash)
+                else:
+                    patch.setattr(os, "replace", rename_then_crash)
+                with pytest.raises(Crash):
+                    gateway._durability.checkpoint()
+
+        def check_disk(directory):
+            last = wal.segment_number(wal.list_segments(directory)[-1])
+            manifest = wal.read_checkpoint(directory)
+            assert manifest["segment"] - last == self.CRASH_POINTS[point]
+            assert (directory / "checkpoint.tmp").exists() == (
+                point == "after-manifest-temp"
+            )
+
+        log = run_recovery_chaos(
+            SCRIPT,
+            9,
+            backend="threaded",
+            seed=89,
+            durability_dir=tmp_path,
+            fsync="batch",
+            checkpoint_every=4,
+            governance=GovernanceConfig(),
+            before_kill=checkpoint_and_die,
+            mutate_wal=check_disk,
+        )
+        assert log.report.recovered and log.report.checkpoint_lsn > 0
+
+    def test_double_crash_after_a_torn_tail_recovers_to_the_oracle(self, tmp_path):
+        """A torn tail is truncated at recovery: the segment stops being
+        final once journaling resumes, and a torn non-final segment
+        would fail the next recovery."""
+        log = run_recovery_chaos(
+            SCRIPT,
+            (5, 10),
+            backend="threaded",
+            seed=97,
+            durability_dir=tmp_path,
+            fsync="batch",
+            checkpoint_every=4,
+            governance=GovernanceConfig(),
+            mutate_wal=inject_torn_tail,
+        )
+        assert log.report.torn_bytes > 0
+        assert all(
+            wal.scan_segment(path).torn_bytes == 0
+            for path in wal.list_segments(tmp_path)[:-1]
+        )
 
 
 # ---------------------------------------------------------------------------
