@@ -77,8 +77,8 @@ def jobs_of(system: MidasSystem, count: int):
     for template in MEDICAL_QUERIES.values():
         rng = RngStream(23, template.key)
         for _ in range(count):
-            sql = template.render(template.sample_params(rng))
-            jobs.append((template.key, interface.receive(sql).plan, template.tables))
+            plan = interface.receive(template, template.sample_params(rng)).plan
+            jobs.append((template.key, plan, template.tables))
     return jobs
 
 

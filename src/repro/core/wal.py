@@ -25,8 +25,8 @@ Segments are named ``wal-<n>.log``, rotate at every checkpoint and are
 never deleted: sealed segments are the journal's archive.  The
 checkpoint file itself is a small manifest, one framed record written
 to a temp file, fsynced, then atomically renamed (and the rename fsynced
-via the directory) — so a half-written checkpoint can never shadow a
-good one.
+via the directory; the ``"off"`` policy skips both fsyncs) — so a
+half-written checkpoint can never shadow a good one.
 """
 
 from __future__ import annotations
@@ -197,25 +197,28 @@ def write_checkpoint(directory: Path, payload: dict, fsync: str = "batch") -> No
     """Atomically replace the directory's checkpoint.
 
     The payload is framed exactly like a WAL record (so a flipped bit is
-    caught by the same CRC32), written to a temp file, fsynced, then
-    renamed over :data:`CHECKPOINT_NAME` — readers see either the old
-    checkpoint or the new one, never a torn hybrid.
+    caught by the same CRC32), written to a temp file, then renamed over
+    :data:`CHECKPOINT_NAME` — readers see either the old checkpoint or
+    the new one, never a torn hybrid.
 
-    Unless ``fsync`` is ``"off"``, the directory is fsynced after the
-    rename.  That puts the rename on stable storage before the call
-    returns, and with it the directory entry of every segment the caller
-    created before checkpointing — so an OS crash cannot lose one
-    segment's name while keeping a later one's, which recovery would
+    Unless ``fsync`` is ``"off"`` (which, as for :class:`WalWriter`,
+    never fsyncs), the temp file is fsynced before the rename and the
+    directory after it.  That puts the rename on stable storage before
+    the call returns, and with it the directory entry of every segment
+    the caller created before checkpointing — so an OS crash cannot lose
+    one segment's name while keeping a later one's, which recovery would
     have to refuse as a gap.
     """
     directory = Path(directory)
+    durable = fsync != "off"
     tmp = directory / _CHECKPOINT_TMP
     with open(tmp, "wb") as handle:
         handle.write(encode_record(payload))
         handle.flush()
-        os.fsync(handle.fileno())
+        if durable:
+            os.fsync(handle.fileno())
     os.replace(tmp, directory / CHECKPOINT_NAME)
-    if fsync != "off":
+    if durable:
         descriptor = os.open(directory, os.O_RDONLY)
         try:
             os.fsync(descriptor)

@@ -155,7 +155,7 @@ class IReSPlatform:
         self, key: str, params: dict, policy: UserPolicy | None = None
     ) -> QueryRequest:
         """Step 1: render the template and validate the query."""
-        return self.interface.receive(self.template(key).render(params), policy)
+        return self.interface.receive(self.template(key), params, policy)
 
     def enumerate(
         self,

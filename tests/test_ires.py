@@ -1,5 +1,7 @@
 """Tests for the IReS platform: interface, modelling, enumerator, pipeline."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cloud.federation import paper_federation
@@ -106,16 +108,16 @@ class TestDeployment:
 class TestInterface:
     def test_receive_validates_tables(self, workload):
         interface = Interface(workload.dataset.catalog, workload.deployment)
-        sql = TPCH_QUERIES["q12"].render(
-            {"shipmode1": "MAIL", "shipmode2": "SHIP", "year": 1994}
+        request = interface.receive(
+            TPCH_QUERIES["q12"], {"shipmode1": "MAIL", "shipmode2": "SHIP", "year": 1994}
         )
-        request = interface.receive(sql)
         assert request.tables == ("lineitem", "orders")
 
     def test_undeployed_table_rejected(self, workload):
         interface = Interface(workload.dataset.catalog, workload.deployment)
+        nation = replace(TPCH_QUERIES["q12"], template="select n_name from nation")
         with pytest.raises(PlanError, match="not deployed"):
-            interface.receive("select n_name from nation")
+            interface.receive(nation, {})
 
 
 class TestEnumerator:

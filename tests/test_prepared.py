@@ -1,13 +1,19 @@
 """Prepared queries and the cached enumeration skeleton, against oracles.
 
-The Interface keeps the plan of each distinct rendered SQL, the
-enumerator keeps one placement per execution option and the size +
-indicator feature prefix per (plan, stats, tables, execution), and
-``CloudFederation.provision`` is memoized.  These suites pin that every
-cached result equals what a fresh parse / a direct build returns:
+The Interface keeps the plan of each distinct rendered SQL and builds a
+new parameter set's plan by literal substitution into its template
+text's shape, the enumerator keeps one placement per execution option
+and the size + indicator feature prefix per (plan, stats, tables,
+execution), and ``CloudFederation.provision`` is memoized.  These suites
+pin that every cached result equals what a fresh parse / a direct build
+returns:
 
-* every MIDAS and TPC-H template, with sampled parameters: the cached
-  ``receive()`` plan equals a fresh ``optimize(plan_sql(...))``;
+* every MIDAS and TPC-H template, over MIDAS's whole 346-string domain,
+  sampled parameters and hypothesis-drawn adversarial values: the
+  ``receive()`` plan and tables equal a fresh ``optimize(plan_sql(...))``
+  (with literal types), or both paths raise the same error type;
+* a repeated SQL returns the identical plan object, and templates that
+  share a text share one shape;
 * cached ``enumerate()`` equals a space built directly from
   ``profile_plan`` and ``Cluster`` (default stats, a ``stats=``
   override, a ``PlanConstraint`` and ``fixed_execution``);
@@ -17,8 +23,9 @@ cached result equals what a fresh parse / a direct build returns:
   the eager reference list, returns one object per row and never shares
   a built ``features`` or ``clusters`` dict, and ``provision`` runs only
   while a skeleton is built;
-* ``gateway.observe`` parses an already-seen SQL zero times and a new
-  one once.
+* ``gateway.observe`` parses an already-seen SQL zero times, a new
+  parameter set of a shaped template zero times and a new SQL of a
+  template without a shape once.
 """
 
 from __future__ import annotations
@@ -26,8 +33,11 @@ from __future__ import annotations
 import itertools
 import sys
 import threading
+from dataclasses import fields, is_dataclass, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.federation.session as session_module
 import repro.ires.enumerator as enumerator_module
@@ -48,7 +58,7 @@ from repro.plans.binder import plan_sql
 from repro.plans.logical import Scan
 from repro.plans.optimizer import optimize
 from repro.plans.physical import profile_plan
-from repro.tpch.queries import EXTENDED_QUERIES
+from repro.tpch.queries import EXTENDED_QUERIES, QueryTemplate
 from repro.workloads.tpch_runner import TpchFederationConfig, TpchFederationWorkload
 
 SAMPLES = 6
@@ -100,9 +110,20 @@ def environments():
     }
 
 
-def sampled_sql(template, count=SAMPLES):
+def sampled_params(template, count=SAMPLES):
     rng = RngStream(29, template.key)
-    return [template.render(template.sample_params(rng)) for _ in range(count)]
+    return [template.sample_params(rng) for _ in range(count)]
+
+
+def received_plans(env, template, count=1):
+    """Plans of ``count`` sampled parameter sets through one Interface."""
+    interface = env.interface()
+    return [interface.receive(template, p).plan for p in sampled_params(template, count)]
+
+
+def adhoc(sql, generator=lambda rng: {}):
+    """A template around one SQL text (parameterless by default)."""
+    return QueryTemplate("adhoc", "ad hoc", ("none", "none"), sql, generator)
 
 
 def reference_space(enumerator, key, plan, stats, tables, constraint=None):
@@ -157,29 +178,203 @@ def assert_same_space(got, want):
 # Prepared statements ---------------------------------------------------------
 
 
+def typed(value):
+    """``value`` with the type of every node and leaf spelled out, so
+    that ``Literal(1)``, ``Literal(1.0)`` and ``Literal(True)`` differ."""
+    if is_dataclass(value):
+        return type(value), tuple(typed(getattr(value, f.name)) for f in fields(value))
+    if isinstance(value, tuple):
+        return tuple, tuple(typed(item) for item in value)
+    return type(value), value
+
+
+def fresh(env, template, params):
+    """``optimize(plan_sql(render(params)))`` and its table tuple."""
+    plan = optimize(plan_sql(template.render(params), env.catalog))
+    tables = tuple(
+        sorted({n.table_name.lower() for n in plan.walk() if isinstance(n, Scan)})
+    )
+    return plan, tables
+
+
+def outcome(call):
+    """A call's result, or the type of the error it raised."""
+    try:
+        return call()
+    except Exception as error:  # the error's type is the outcome compared
+        return type(error)
+
+
+def assert_receives_like_a_fresh_parse(env, interface, template, params):
+    got = outcome(lambda: interface.receive(template, params))
+    want = outcome(lambda: fresh(env, template, params))
+    if isinstance(want, type) or isinstance(got, type):
+        assert got == want, (template.key, params)
+    else:
+        assert typed(got.plan) == typed(want[0]), (template.key, params)
+        assert got.tables == want[1]
+
+
+#: MIDAS's whole parameter domain, read off ``repro/midas/queries.py``.
+MIDAS_DOMAIN = {
+    "medical-demographics": [{"min_age": age} for age in range(60)],
+    "medical-severe-cases": [
+        {"severity": severity, "min_age": age}
+        for severity in range(2, 6)
+        for age in range(70)
+    ],
+    "medical-lab-followup": [
+        {"testname": name}
+        for name in ("hemoglobin", "glucose", "creatinine", "sodium", "potassium", "crp")
+    ],
+}
+
+
+def test_every_midas_string_is_substituted_exactly_as_parsed(environments, monkeypatch):
+    env = environments["midas"]
+    interface = env.interface()
+    for template in MEDICAL_QUERIES.values():
+        assert interface.shape(template) is not None
+    parses = count_calls(monkeypatch, interface_module, "plan_sql")
+    statements = set()
+    for key, domain in MIDAS_DOMAIN.items():
+        template = MEDICAL_QUERIES[key]
+        for params in domain:
+            statements.add(template.render(params))
+            assert_receives_like_a_fresh_parse(env, interface, template, params)
+    assert len(statements) == 346
+    assert parses["n"] == 0
+
+
+def test_only_templates_whose_renders_differ_in_literals_get_a_shape(environments):
+    shaped = {
+        template.key
+        for family, template in TEMPLATES
+        if environments[family].interface().shape(template) is not None
+    }
+    assert shaped == set(MEDICAL_QUERIES) | {"q17"}
+
+
+#: Texts over MIDAS tables whose renders differ in more than literals,
+#: with values for ``{n}``: the generator draws the first two, and every
+#: one is received.
+UNSHAPED_TEXTS = {
+    # The parameter is a literal and also a LIMIT count, which is none.
+    "literal-and-limit": (
+        "select p.uid from patient p where p.patientage >= {n} limit {n}", [3, 17, 40]
+    ),
+    # The parameter appears in no literal at all.
+    "limit-only": ("select p.uid from patient p limit {n}", [3, 17, 40]),
+    # The literal holds the parameter's value with another type.
+    "int-as-float": ("select p.uid from patient p where p.patientage >= {n}.0", [3, 17, 40]),
+    # The parameter sits in a comment, which a newline ends.
+    "in-a-comment": (
+        "select p.uid from patient p -- {n}\nwhere p.patientage >= 30",
+        ["a", "b", "c\nlimit 2"],
+    ),
+}
+
+
+@pytest.mark.parametrize("text,values", UNSHAPED_TEXTS.values(), ids=UNSHAPED_TEXTS.keys())
+def test_texts_whose_renders_differ_beyond_literals_stay_on_the_sql_path(
+    environments, text, values
+):
+    env = environments["midas"]
+    interface = env.interface()
+    template = adhoc(text, lambda rng: {"n": values[int(rng.integers(0, 2))]})
+    assert interface.shape(template) is None
+    for value in values:
+        assert_receives_like_a_fresh_parse(env, interface, template, {"n": value})
+
+
+def test_sentinel_sets_have_distinct_values_that_all_change(environments):
+    """A draw with two equal values cannot tell their literals apart,
+    and a value repeated across the sets shows no slot: both are
+    skipped, not taken as sentinels."""
+    draws = iter([{"a": 5, "b": 5}, {"a": 5, "b": 6}, {"a": 5, "b": 7}, {"a": 7, "b": 8}])
+    template = adhoc(
+        "select p.uid from patient p where p.patientage >= {a} and p.uid > {b}",
+        lambda rng: next(draws),
+    )
+    shape = environments["midas"].interface().shape(template)
+    assert shape is not None and shape.kinds == {"a": int, "b": int}
+
+
+#: Values no generator draws: negative, huge, bool, float, non-finite,
+#: empty and quoted.
+ADVERSARIAL = st.one_of(
+    st.integers(min_value=-(10**30), max_value=10**30),
+    st.booleans(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(min_value=0, max_value=1e6),
+    st.text(max_size=8),
+    st.sampled_from(["", "'", "a'b", "O''Brien", "30", "-1", "x' or '1'='1"]),
+)
+
+
+@pytest.mark.parametrize("family,template", TEMPLATES, ids=lambda v: getattr(v, "key", v))
+@settings(max_examples=60)
+@given(data=st.data())
+def test_receive_equals_a_fresh_parse_or_raises_alike(environments, family, template, data):
+    env = environments[family]
+    interface = env.interface()
+    draws = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4))
+    for seed in draws:
+        params = template.sample_params(RngStream(seed, template.key))
+        for name in sorted(params):
+            if data.draw(st.booleans()):
+                params[name] = data.draw(ADVERSARIAL)
+        assert_receives_like_a_fresh_parse(env, interface, template, params)
+
+
 @pytest.mark.parametrize("family,template", TEMPLATES, ids=lambda v: getattr(v, "key", v))
 def test_cached_plan_equals_a_fresh_parse(environments, family, template):
     env = environments[family]
     interface = env.interface()
     policy = UserPolicy(weights=(0.9, 0.1))
-    for sql in sampled_sql(template):
-        first = interface.receive(sql)
-        again = interface.receive(sql, policy)
-        fresh = optimize(plan_sql(sql, env.catalog))
-        assert first.plan == fresh
+    for params in sampled_params(template):
+        first = interface.receive(template, params)
+        again = interface.receive(template, dict(params), policy)
+        plan, tables = fresh(env, template, params)
+        assert typed(first.plan) == typed(plan)
         assert again.plan is first.plan
-        assert again.tables == first.tables == tuple(
-            sorted({n.table_name.lower() for n in fresh.walk() if isinstance(n, Scan)})
-        )
+        assert again.tables == first.tables == tables
         assert again.policy is policy and first.policy == UserPolicy()
+
+
+def test_clones_of_one_text_share_one_shape(environments, monkeypatch):
+    env = environments["midas"]
+    interface = env.interface()
+    base = MEDICAL_QUERIES["medical-severe-cases"]
+    clones = [replace(base, key=f"tenant-{i:03d}") for i in range(5)]
+    parses = count_calls(monkeypatch, interface_module, "plan_sql")
+    shapes = {id(interface.shape(clone)) for clone in clones}
+    assert len(shapes) == 1 and len(interface.shapes) == 1
+    assert parses["n"] == 2  # the two sentinel renders, once per text
+    for age, clone in enumerate(clones):
+        params = {"severity": 3, "min_age": age}
+        assert_receives_like_a_fresh_parse(env, interface, clone, params)
+    assert parses["n"] == 2  # every clone's new SQL was substituted
 
 
 def test_parse_errors_are_never_cached(environments):
     interface = environments["midas"].interface()
+    template = MEDICAL_QUERIES["medical-demographics"]
+    nowhere = adhoc(
+        "select nothing from nowhere where id = {id}",
+        lambda rng: {"id": int(rng.integers(0, 100))},
+    )
     for _ in range(2):
         with pytest.raises(ReproError):
-            interface.receive("select nothing from nowhere")
-    assert interface.prepared.cache_info().currsize == 0
+            interface.receive(adhoc("select nothing from nowhere"), {})
+        with pytest.raises(ReproError):
+            interface.receive(nowhere, {"id": 7})
+        with pytest.raises(ReproError):
+            interface.receive(template, {"min_age": "30 +"})
+        with pytest.raises(KeyError):
+            interface.receive(template, {})
+    assert len(interface.prepared) == 0
+    assert interface.shapes[nowhere.template] is None  # sentinels failed to plan
 
 
 def count_calls(monkeypatch, module, name):
@@ -200,17 +395,15 @@ def test_prepared_cache_evicts_least_recently_used_at_its_bound(
 ):
     interface = environments["midas"].interface()
     template = MEDICAL_QUERIES["medical-demographics"]
-    statements = [
-        template.render({"min_age": age}) for age in range(PREPARED_CAPACITY + 5)
-    ]
-    for sql in statements:
-        interface.receive(sql)
-    assert interface.prepared.cache_info().currsize == PREPARED_CAPACITY
-    parses = count_calls(monkeypatch, interface_module, "plan_sql")
-    interface.receive(statements[-1])
-    assert parses["n"] == 0
-    interface.receive(statements[0])  # evicted: parsed again
-    assert parses["n"] == 1
+    ages = range(PREPARED_CAPACITY + 5)
+    plans = [interface.receive(template, {"min_age": age}).plan for age in ages]
+    assert len(interface.prepared) == PREPARED_CAPACITY
+    builds = count_calls(monkeypatch, interface_module.PlanShape, "bind")
+    assert interface.receive(template, {"min_age": ages[-1]}).plan is plans[-1]
+    assert builds["n"] == 0
+    again = interface.receive(template, {"min_age": 0}).plan  # evicted: rebuilt
+    assert builds["n"] == 1
+    assert again == plans[0] and again is not plans[0]
 
 
 # Enumeration skeleton --------------------------------------------------------
@@ -222,8 +415,8 @@ def test_cached_enumeration_equals_a_direct_build(environments, family, template
     interface = env.interface()
     enumerator = env.fresh_enumerator()
     tables = template.tables
-    for sql in sampled_sql(template, 3):
-        plan = interface.receive(sql).plan
+    for params in sampled_params(template, 3):
+        plan = interface.receive(template, params).plan
         want = reference_space(enumerator, template.key, plan, env.stats, tables)
         # First sight of the stats object, then cached, then a hit.
         for _ in range(3):
@@ -237,7 +430,7 @@ def test_stats_override_is_never_served_the_default_prefix(
 ):
     env = environments[family]
     enumerator = env.fresh_enumerator()
-    plan = env.interface().receive(sampled_sql(template, 1)[0]).plan
+    (plan,) = received_plans(env, template)
     tables = template.tables
     enumerator.enumerate(template.key, plan, env.stats, tables)
     enumerator.enumerate(template.key, plan, env.stats, tables)
@@ -260,7 +453,7 @@ def test_constrained_enumeration_equals_a_direct_build(
 ):
     env = environments[family]
     enumerator = env.fresh_enumerator()
-    plan = env.interface().receive(sampled_sql(template, 1)[0]).plan
+    (plan,) = received_plans(env, template)
     constraint = PlanConstraint(required_sites=frozenset({site}))
     want = reference_space(
         enumerator, template.key, plan, env.stats, template.tables, constraint
@@ -283,7 +476,7 @@ def test_fixed_execution_enumeration_equals_a_direct_build(
     env = environments[family]
     execution = env.deployment.execution_options(template.tables)[-1]
     enumerator = env.fresh_enumerator(fixed_execution=execution)
-    plan = env.interface().receive(sampled_sql(template, 1)[0]).plan
+    (plan,) = received_plans(env, template)
     want = reference_space(enumerator, template.key, plan, env.stats, template.tables)
     for _ in range(3):
         got = enumerator.enumerate(template.key, plan, env.stats, template.tables)
@@ -295,7 +488,7 @@ def test_mutating_a_candidate_leaves_the_next_enumeration_unchanged(environments
     env = environments["tpch"]
     template = EXTENDED_QUERIES["q12"]
     enumerator = env.fresh_enumerator()
-    plan = env.interface().receive(sampled_sql(template, 1)[0]).plan
+    (plan,) = received_plans(env, template)
     want = reference_space(enumerator, template.key, plan, env.stats, template.tables)
     for _ in range(3):
         got = enumerator.enumerate(template.key, plan, env.stats, template.tables)
@@ -331,7 +524,7 @@ def test_on_demand_space_equals_the_eager_reference(
 ):
     env = environments[family]
     enumerator = env.fresh_enumerator()
-    plan = env.interface().receive(sampled_sql(template, 1)[0]).plan
+    (plan,) = received_plans(env, template)
     tables = template.tables
     constraint = None
     if drop_site:
@@ -363,7 +556,7 @@ def test_provision_runs_only_while_a_skeleton_is_built(environments, monkeypatch
     enumerator = env.fresh_enumerator()
     federation = enumerator.federation
     provisions = count_calls(monkeypatch, federation, "provision")
-    plan = env.interface().receive(sampled_sql(template, 1)[0]).plan
+    (plan,) = received_plans(env, template)
     space = enumerator.enumerate(template.key, plan, env.stats, template.tables)
     sites = {env.deployment.site_of(table).lower() for table in template.tables}
     assert provisions["n"] == sum(len(enumerator.node_options[s]) for s in sites)
@@ -380,8 +573,7 @@ def test_prefix_cache_evicts_at_its_bound(environments, monkeypatch):
     monkeypatch.setattr(enumerator_module, "PREFIX_CAPACITY", 2)
     enumerator = env.fresh_enumerator()
     template = MEDICAL_QUERIES["medical-demographics"]
-    interface = env.interface()
-    first, second = (interface.receive(sql).plan for sql in sampled_sql(template, 2))
+    first, second = received_plans(env, template, 2)
     profiles = count_calls(monkeypatch, enumerator_module, "profile_plan")
 
     def enumerate_(plan):
@@ -423,19 +615,19 @@ def test_concurrent_receive_and_enumerate_through_tiny_caches_stay_exact(
     enumerator = env.fresh_enumerator()
     jobs = []
     for template in MEDICAL_QUERIES.values():
-        for sql in sampled_sql(template, 3):
-            plan = optimize(plan_sql(sql, env.catalog))
+        for params in sampled_params(template, 3):
+            plan, _tables = fresh(env, template, params)
             want = reference_space(
                 enumerator, template.key, plan, env.stats, template.tables
             )
-            jobs.append((template, sql, [(c.describe(), c.features) for c in want]))
+            jobs.append((template, params, [(c.describe(), c.features) for c in want]))
     failures = []
 
     def worker(offset):
         for index in range(40):
-            template, sql, want = jobs[(index + offset) % len(jobs)]
+            template, params, want = jobs[(index + offset) % len(jobs)]
             try:
-                plan = interface.receive(sql).plan
+                plan = interface.receive(template, params).plan
                 got = enumerator.enumerate(
                     template.key, plan, env.stats, template.tables
                 )
@@ -443,7 +635,7 @@ def test_concurrent_receive_and_enumerate_through_tiny_caches_stay_exact(
                 failures.append((template.key, repr(error)))
                 continue
             if [(c.describe(), c.features) for c in got] != want:
-                failures.append((template.key, sql))
+                failures.append((template.key, params))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -462,7 +654,7 @@ def test_concurrent_receive_and_enumerate_through_tiny_caches_stay_exact(
 # The gateway path ------------------------------------------------------------
 
 
-def test_gateway_observe_parses_a_new_sql_once_and_a_seen_one_never(monkeypatch):
+def test_gateway_observe_parses_only_new_sql_of_a_template_without_a_shape(monkeypatch):
     gateway = MidasSystem(patient_count=120, seed=3).gateway
     key = "medical-demographics"
     parses = count_calls(monkeypatch, interface_module, "plan_sql")
@@ -472,15 +664,25 @@ def test_gateway_observe_parses_a_new_sql_once_and_a_seen_one_never(monkeypatch)
         gateway.observe(request, **kwargs)
         return parses["n"] - before
 
-    assert parses_of(ObserveRequest(key, {"min_age": 30})) == 1
+    # The text's first arrival plans its two sentinel renders once.
+    assert parses_of(ObserveRequest(key, {"min_age": 30})) == 2
     assert parses_of(ObserveRequest(key, {"min_age": 30})) == 0
     candidate = gateway.candidates(key, {"min_age": 31})[0]
     assert parses_of(ObserveRequest(key, {"min_age": 31}), candidate=candidate) == 0
     before = parses["n"]
     candidate = gateway.candidates(key, {"min_age": 40})[3]
-    assert parses["n"] - before == 1
+    assert parses["n"] == before
     assert parses_of(ObserveRequest(key, {"min_age": 40}), candidate=candidate) == 0
-    assert parses_of(ObserveRequest(key, {"min_age": 41}), candidate=candidate) == 1
+    assert parses_of(ObserveRequest(key, {"min_age": 41}), candidate=candidate) == 0
+    gateway.close()
+
+    # TPC-H q3 builds dates from its parameters: its two sentinel renders
+    # find no shape, so every new SQL parses once and a seen one never.
+    gateway = TpchFederationWorkload(TpchFederationConfig()).gateway(queries=())
+    gateway.register_template(EXTENDED_QUERIES["q3"])
+    params = [{"segment": "BUILDING", "date": f"1995-03-{day:02d}"} for day in (3, 4)]
+    for request, new in ((params[0], 2 + 1), (params[0], 0), (params[1], 1)):
+        assert parses_of(ObserveRequest("q3", request)) == new
     gateway.close()
 
 
