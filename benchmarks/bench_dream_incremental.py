@@ -34,6 +34,14 @@ of order 1e16, so both paths must pick identical windows *and* every
 model must stay within 1e-6 of the minimum-norm ``pinv(A) @ c`` fit on
 its window, at the window's feature values and at sizes off the window.
 
+A fourth row times **per-refit search cost on one estimator over a
+growing constant-column history**: after exploration the optimizer keeps
+choosing one of two plans in runs, on tables whose sizes do not change
+(as MIDAS's do not), so recent rows repeat and most windows have a
+constant column.  It reports microseconds per refit, online and batch;
+every refit must be bitwise the batch oracle's (windows, ranges,
+coefficients, both R^2 by ``repr``).  It has no speed gate.
+
 Run standalone:  PYTHONPATH=src python benchmarks/bench_dream_incremental.py [--quick]
 """
 
@@ -298,6 +306,66 @@ def run_constant_column(
     )
 
 
+@dataclass(frozen=True)
+class GrowingHistoryReport:
+    refits: int
+    batch_seconds: float
+    online_seconds: float
+    bitwise: bool
+
+
+def _bitwise(actual, expected) -> bool:
+    """Windows, ranges, coefficients and both R^2 (by ``repr``) equal."""
+    return (
+        actual.window_sizes == expected.window_sizes
+        and actual.target_ranges == expected.target_ranges
+        and repr(actual.r_squared) == repr(expected.r_squared)
+        and all(
+            np.array_equal(model.coefficients_, expected.models[metric].coefficients_)
+            and repr(model.r_squared_) == repr(expected.models[metric].r_squared_)
+            for metric, model in actual.models.items()
+        )
+    )
+
+
+def run_growing_history(quick: bool = False) -> GrowingHistoryReport:
+    """One estimator refitted after every append to a history whose
+    rows repeat one of two chosen plans, run by run."""
+    explore = 20 if quick else 40
+    refits = 2 * MAX_WINDOW if quick else 6 * MAX_WINDOW
+    source = _chosen_plan_history(_qep_space_workload(quick), explore, refits)
+    observations = source.observations
+    plans = [observations[explore - 2].features, observations[explore - 1].features]
+    rng = np.random.default_rng(43)
+    replay = ExecutionHistory(source.feature_names, source.metric_names)
+    for obs in observations[:explore]:
+        replay.append(obs.tick, obs.features, obs.costs)
+    batch = DreamEstimator(r2_required=R2_REQUIRED, max_window=MAX_WINDOW)
+    online = OnlineDreamEstimator(r2_required=R2_REQUIRED, max_window=MAX_WINDOW)
+    online.fit(replay)
+    batch_seconds = online_seconds = 0.0
+    bitwise = True
+    plan, run_left = 0, 0
+    for obs in observations[explore:]:
+        if run_left == 0:
+            plan, run_left = 1 - plan, int(rng.integers(10, 41))
+        run_left -= 1
+        replay.append(obs.tick, plans[plan], obs.costs)
+        started = time.perf_counter()
+        result = online.fit(replay)
+        online_seconds += time.perf_counter() - started
+        started = time.perf_counter()
+        reference = batch.fit(replay.datasets())
+        batch_seconds += time.perf_counter() - started
+        bitwise &= _bitwise(result, reference)
+    return GrowingHistoryReport(
+        refits=refits,
+        batch_seconds=batch_seconds,
+        online_seconds=online_seconds,
+        bitwise=bitwise,
+    )
+
+
 def format_report(report: IncrementalReport) -> str:
     lines = [
         "Incremental DREAM vs seed batch path (Example 3.1-scale QEP space)",
@@ -340,6 +408,20 @@ def format_constant_column(report: ConstantColumnReport) -> str:
     return "\n".join(lines)
 
 
+def format_growing_history(report: GrowingHistoryReport) -> str:
+    title = "Growing history, one of two plans chosen in runs: per-refit search cost"
+    lines = [
+        "",
+        title,
+        "-" * len(title),
+        f"refits on one estimator       : {report.refits}",
+        f"batch DreamEstimator          : {report.batch_seconds / report.refits * 1e6:8.1f} us/refit",
+        f"online OnlineDreamEstimator   : {report.online_seconds / report.refits * 1e6:8.1f} us/refit",
+        f"every refit bitwise the batch : {report.bitwise}",
+    ]
+    return "\n".join(lines)
+
+
 def check_report(report: IncrementalReport) -> None:
     assert report.candidate_count >= 1000, report.candidate_count
     assert report.windows_identical
@@ -355,21 +437,28 @@ def check_constant_column(report: ConstantColumnReport) -> None:
         assert report.max_pinv_difference <= 1e-6, report.max_pinv_difference
 
 
+def check_growing_history(report: GrowingHistoryReport) -> None:
+    assert report.bitwise
+
+
 def test_dream_incremental_speedup(benchmark):
     from conftest import record_result
 
     report = benchmark.pedantic(run_dream_incremental, rounds=1, iterations=1)
     constant = run_constant_column()
     held = run_constant_column(held_size=HELD_SIZE_MIB)
+    growing = run_growing_history()
     record_result(
         "dream_incremental",
         format_report(report)
         + format_constant_column(constant)
-        + format_constant_column(held),
+        + format_constant_column(held)
+        + format_growing_history(growing),
     )
     check_report(report)
     check_constant_column(constant)
     check_constant_column(held)
+    check_growing_history(growing)
 
 
 if __name__ == "__main__":
@@ -381,9 +470,12 @@ if __name__ == "__main__":
     final = run_dream_incremental(quick=arguments.quick)
     constant_column = run_constant_column(quick=arguments.quick)
     held_column = run_constant_column(quick=arguments.quick, held_size=HELD_SIZE_MIB)
+    growing_history = run_growing_history(quick=arguments.quick)
     print(format_report(final))
     print(format_constant_column(constant_column))
     print(format_constant_column(held_column))
+    print(format_growing_history(growing_history))
     check_report(final)
     check_constant_column(constant_column)
     check_constant_column(held_column)
+    check_growing_history(growing_history)

@@ -25,17 +25,17 @@ from a tiny design matrix).
 
 Two estimators implement the algorithm; both fit a window the same way:
 
-* :class:`DreamEstimator` — the batch reference: every window size is a
-  full OLS refit.  Kept as the oracle the incremental engine is verified
-  against.
+* :class:`DreamEstimator` — the batch reference: every window size of
+  every metric is factorised from scratch.  Kept as the oracle the
+  incremental engine is verified against.
 * :class:`OnlineDreamEstimator` — the production hot path.  It binds to
   one :class:`~repro.core.history.ExecutionHistory` and keys its state
   on ``history.version``: consecutive optimizer calls between executions
   reuse the cached fit outright, and a version bump folds only the *new*
   observations into flat row buffers before the window search.
 
-Every window of the online search is fitted exactly as the batch oracle
-fits it.  The design-only part of the fit
+Every window of the online search is scored exactly as the batch oracle
+scores it.  The design-only part of the fit
 (:class:`~repro.ml.linear.WindowFactorisation`) is computed once per
 window and shared by every metric still pending at that window; each
 window is a row slice of one intercept-augmented design built per search
@@ -43,11 +43,18 @@ for the widest window.  The search keeps per-column min/max as the
 window widens (as it keeps target min/max), so it knows, without a pass
 over the window, whether some column is constant.  A constant column is
 a multiple of the intercept; such a window is singular and its
-factorisation is one SVD, ``pinv(A)``: the minimum-norm coefficients are
-``pinv(A) @ c`` and the leverages are the diagonal of ``A pinv(A)``.
-When the optimizer keeps choosing one plan, its node and engine columns
-repeat on every recent row, so this is the common case.  Windows,
-models and scores are bitwise those of the batch oracle.
+factorisation is one SVD with numpy's pinv tail inline, ``pinv(A)``:
+the minimum-norm coefficients are ``pinv(A) @ c`` and the leverages are
+the diagonal of ``A pinv(A)``.  When the optimizer keeps choosing one
+plan, its node and engine columns repeat on every recent row, so this
+is the common case.
+
+A window is scored without a model: each pending metric's PRESS R^2
+comes from the factorisation through the very operations of the model
+fit, and a :class:`~repro.ml.linear.MultipleLinearRegression` is built
+only on the window where a metric converges and, for the stragglers, on
+the final window — in both estimators, so there is one fit path.
+Windows, models and scores are bitwise those of the batch oracle.
 
 Both estimators freeze a metric's model at its first convergence (its
 R^2 met the requirement at window ``m``); later widening steps — forced
@@ -251,16 +258,21 @@ class DreamEstimator:
         pending = set(datasets)
 
         while True:
+            windows: dict[str, tuple[WindowFactorisation, Dataset]] = {}
             for metric, data in datasets.items():
                 if metric not in pending:
                     continue  # frozen at its first convergence
-                model = MultipleLinearRegression()
                 window = data.last_window(m)
-                model.fit(window.features, window.targets)
-                models[metric] = model
-                r2[metric] = model.press_r_squared_
+                shared = WindowFactorisation(
+                    np.hstack([np.ones((m, 1)), window.features])
+                )
+                windows[metric] = shared, window
+                r2[metric] = shared.press_r_squared(window.targets)
                 if r2[metric] >= self._required(metric):
                     pending.discard(metric)
+                    models[metric] = MultipleLinearRegression.fit_window(
+                        shared, window.targets
+                    )
                     window_sizes[metric] = m
                     ranges[metric] = (
                         float(window.targets.min()),
@@ -269,14 +281,17 @@ class DreamEstimator:
             converged = not pending
             if converged or m >= m_max:
                 for metric in pending:  # stragglers stop at the final m
-                    window_targets = datasets[metric].last_window(m).targets
+                    shared, window = windows[metric]
+                    models[metric] = MultipleLinearRegression.fit_window(
+                        shared, window.targets
+                    )
                     window_sizes[metric] = m
                     ranges[metric] = (
-                        float(window_targets.min()),
-                        float(window_targets.max()),
+                        float(window.targets.min()),
+                        float(window.targets.max()),
                     )
                 return DreamResult(
-                    models=models,
+                    models={metric: models[metric] for metric in datasets},
                     window_size=m,
                     r_squared=dict(r2),
                     converged=converged,
@@ -318,9 +333,9 @@ class OnlineDreamEstimator(DreamEstimator):
       observations appended since the last call into flat numpy buffers
       (the history is append-only, so earlier rows never change).
     * **One factorisation per window** — each window's design-only fit
-      (:class:`~repro.ml.linear.WindowFactorisation`) is shared by every
-      metric still pending at that window, and the window's target and
-      column ranges widen by one row per step.
+      (:class:`~repro.ml.linear.WindowFactorisation`) scores every metric
+      still pending at that window, and the window's target and column
+      ranges widen by one row per step.
 
     An estimator instance holds state for exactly one history; passing a
     different history object resets it.
@@ -430,20 +445,24 @@ class OnlineDreamEstimator(DreamEstimator):
                 if metric not in pending:
                     continue
                 window_y = self._metric_targets[metric][total - m : total]
-                model = MultipleLinearRegression.fit_window(shared, window_y)
-                models[metric] = model
-                r2[metric] = model.press_r_squared_
+                r2[metric] = shared.press_r_squared(window_y)
                 if r2[metric] >= self._required(metric):
                     pending.discard(metric)
+                    models[metric] = MultipleLinearRegression.fit_window(
+                        shared, window_y
+                    )
                     window_sizes[metric] = m
                     ranges[metric] = (mins[metric], maxs[metric])
             converged = not pending
             if converged or m >= m_max:
                 for metric in pending:
+                    models[metric] = MultipleLinearRegression.fit_window(
+                        shared, self._metric_targets[metric][total - m : total]
+                    )
                     window_sizes[metric] = m
                     ranges[metric] = (mins[metric], maxs[metric])
                 return DreamResult(
-                    models=models,
+                    models={metric: models[metric] for metric in metrics},
                     window_size=m,
                     r_squared=dict(r2),
                     converged=converged,

@@ -159,6 +159,8 @@ class MultiEngineSimulator:
                 inter += transfer.payload_bytes
             else:
                 intra += transfer.payload_bytes
-        participating_sites = {p.site for p in profile.participating()}
+        # Sites in sorted order: with three or more, the float sum of
+        # their compute costs depends on the order it is taken in.
+        participating_sites = sorted({p.site for p in profile.participating()})
         held = [clusters[site] for site in participating_sites if site in clusters]
         return self.federation.pricing.query_cost(held, duration_s, inter, intra)

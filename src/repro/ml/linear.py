@@ -4,7 +4,7 @@ Solves ``B = (A^T A)^-1 A^T C`` (paper Eq. 12) for the design matrix with
 an intercept column (Eq. 8).  A pseudo-inverse is used when the normal
 matrix is singular, which returns the minimum-norm solution instead of
 failing.  A window with a constant feature column (a multiple of the
-intercept) is always singular, so it goes straight to one SVD,
+intercept) is always singular, so it goes straight to one SVD and
 ``pinv(A)``: the normal equations are never formed there.  ``solve``
 would not reliably raise on them — for a constant that is not a small
 integer it returns coefficients of order 1e16 that cancel only inside
@@ -13,9 +13,14 @@ the window — and the minimum-norm fit is the one Eq. 12 promises.
 :class:`MultipleLinearRegression` is the batch fit/predict regressor used
 by the BML pool and by DREAM.  Its fit runs on a
 :class:`WindowFactorisation`, the design-only half of the solve (normal
-matrix and solve-or-pinv on a window without a constant column, one
-``pinv(A)`` on a window with one, and the leverages), which DREAM's
-window search shares across every metric fitted on one window.
+matrix and solve-or-pinv on a window without a constant column; on a
+window with one, ``pinv(A)`` from one ``numpy.linalg.svd`` with numpy's
+own pinv tail applied inline, bitwise ``numpy.linalg.pinv``; and the
+leverages with their PRESS clip), which DREAM's window search shares
+across every metric scored on one window.  A window is scored without
+building a model (:meth:`WindowFactorisation.press_r_squared`, the very
+operations of the model's fit); DREAM builds a model only on the window
+where a metric stops.
 """
 
 from __future__ import annotations
@@ -27,26 +32,21 @@ from repro.ml.base import Regressor
 from repro.ml.metrics import r_squared_from, total_sum_of_squares
 
 
-def press_r_squared_from(
-    residuals: np.ndarray,
-    leverages: np.ndarray,
-    targets: np.ndarray,
-    sst: float | None = None,
-) -> float:
-    """Leave-one-out R^2 = 1 - PRESS/SST from per-row components.
+def _loo_denominators(leverages: np.ndarray) -> np.ndarray:
+    """``1 - h_ii`` clipped at 1e-6: the leave-one-out residual scale."""
+    return np.maximum(1.0 - leverages, 1e-6)
 
-    The PRESS tail of every least-squares fit (``e_loo = e/(1-h)``,
-    leverage clip, SST zero convention, clamp at -1).  ``sst`` is the
-    targets' :func:`~repro.ml.metrics.total_sum_of_squares`, for a
-    caller that already computed it.
+
+def _press_score(residuals: np.ndarray, denominators: np.ndarray, sst: float) -> float:
+    """Leave-one-out R^2 = 1 - PRESS/SST: the PRESS tail of every
+    least-squares fit (``e_loo = e / max(1 - h, 1e-6)``, SST zero
+    convention, clamp at -1).
 
     Leverage ~1 means the point is interpolated: its LOO residual
     diverges, which correctly reads as "no predictive evidence".
     """
-    loo = residuals / np.maximum(1.0 - leverages, 1e-6)
+    loo = residuals / denominators
     press = float(np.add.reduce(loo * loo, axis=None))
-    if sst is None:
-        sst = total_sum_of_squares(targets)
     if sst == 0.0:
         return 1.0 if press == 0.0 else -1.0
     return max(-1.0, 1.0 - press / sst)
@@ -61,6 +61,21 @@ def minimum_observations(dimension: int) -> int:
     return dimension + 2
 
 
+def _pinv(design: np.ndarray) -> np.ndarray:
+    """``numpy.linalg.pinv(design)``, bitwise, from one ``numpy.linalg.svd``.
+
+    numpy's own tail at its default ``rcond=1e-15``: singular values at
+    or below ``1e-15`` times the largest (``s[0]``; LAPACK returns them
+    in descending order) get a zero reciprocal, then ``V diag(1/s) U^T``
+    is formed as ``vt.T @ (inv[:, None] * u.T)``.  What is skipped is the
+    wrapper around it (rcond/rtol dispatch, empty-matrix and conjugate
+    handling of a real matrix).
+    """
+    u, s, vt = np.linalg.svd(design, full_matrices=False)
+    inverse = np.divide(1.0, s, where=s > 1e-15 * s[0], out=np.zeros(len(s)))
+    return vt.T @ (inverse[:, None] * u.T)
+
+
 class WindowFactorisation:
     """The design-only half of an OLS fit, shared by every target on it.
 
@@ -70,10 +85,12 @@ class WindowFactorisation:
     ``numpy.linalg.solve`` raises on it (which depends on the matrix
     alone), ``pinv(A)`` once it has, and the hat-matrix diagonal from
     ``pinv(A^T A)``, each computed on first use.  On a window with a
-    constant column it is one ``pinv(A)``: the minimum-norm coefficients
-    are ``pinv(A) @ c`` and the leverages are the diagonal of
-    ``A pinv(A)``, so neither the normal matrix, nor a ``solve``, nor a
-    second SVD is run.  Fitting any number of targets on one
+    constant column it is one SVD giving ``pinv(A)`` (:func:`_pinv`,
+    bitwise ``numpy.linalg.pinv``): the minimum-norm coefficients are
+    ``pinv(A) @ c`` and the leverages are the diagonal of ``A pinv(A)``,
+    so neither the normal matrix, nor a ``solve``, nor a second SVD is
+    run.  The leverages' PRESS clip ``max(1 - h, 1e-6)`` is computed once
+    per window.  Fitting or scoring any number of targets on one
     factorisation gives, per target, bitwise the coefficients and scores
     of a separate fit, with one factorisation per window.
 
@@ -86,12 +103,14 @@ class WindowFactorisation:
         self.normal: np.ndarray | None = None
         self._pinv_design: np.ndarray | None = None
         self._leverages: np.ndarray | None = None
+        self._denominators: np.ndarray | None = None
         if constant_column is None:
             features = design[:, 1:]
             constant_column = bool(np.any(features.min(axis=0) == features.max(axis=0)))
         if constant_column:
-            self._pinv_design = np.linalg.pinv(design)
+            self._pinv_design = _pinv(design)
             self._leverages = np.einsum("ij,ji->i", design, self._pinv_design)
+            self._denominators = _loo_denominators(self._leverages)
         else:
             self.normal = design.T @ design
 
@@ -112,6 +131,26 @@ class WindowFactorisation:
                 "ij,jk,ik->i", self.design, np.linalg.pinv(self.normal), self.design
             )
         return self._leverages
+
+    @property
+    def denominators(self) -> np.ndarray:
+        """``max(1 - h_ii, 1e-6)``: each row's leave-one-out residual scale."""
+        if self._denominators is None:
+            self._denominators = _loo_denominators(self.leverages)
+        return self._denominators
+
+    def _solution(self, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Eq. 12's coefficients for ``targets`` and the window's residuals."""
+        coefficients = self.coefficients(targets)
+        return coefficients, targets - self.design @ coefficients
+
+    def press_r_squared(self, targets: np.ndarray) -> float:
+        """The PRESS R^2 of ``targets`` on this window, without a model:
+        bitwise ``MultipleLinearRegression.fit_window(self, targets)
+        .press_r_squared_`` (the same operations, minus the SSE, the
+        training R^2 and the model object)."""
+        _, residuals = self._solution(targets)
+        return _press_score(residuals, self.denominators, total_sum_of_squares(targets))
 
 
 class MultipleLinearRegression(Regressor):
@@ -141,15 +180,12 @@ class MultipleLinearRegression(Regressor):
         self._fit_on(WindowFactorisation(self._design(features)), targets)
 
     def _fit_on(self, window: "WindowFactorisation", targets: np.ndarray) -> None:
-        self.coefficients_ = window.coefficients(targets)
-        residuals = targets - window.design @ self.coefficients_
+        self.coefficients_, residuals = window._solution(targets)
         # One SST for both scores: training R^2 (Eq. 14) and PRESS R^2.
         sst = total_sum_of_squares(targets)
         sse = float(np.add.reduce(residuals * residuals))
         self.r_squared_ = r_squared_from(sse, sst)
-        self.press_r_squared_ = press_r_squared_from(
-            residuals, window.leverages, targets, sst=sst
-        )
+        self.press_r_squared_ = _press_score(residuals, window.denominators, sst)
 
     @classmethod
     def fit_window(

@@ -9,9 +9,11 @@ Four layers of guarantees:
    across version bumps) and on named scenarios.
 2. The batched prediction path (``DreamResult.predict_batch``,
    ``MultiCostModel.predict_batch``) matches the per-row path exactly.
-3. The window search runs one shared factorisation per searched window:
-   it is bitwise the batch fit (the minimum-norm fit from one ``pinv(A)``
-   on a constant-column window) and every pending metric is fitted on it.
+3. The window search runs at most one shared factorisation per searched
+   window: it is bitwise the batch fit (the minimum-norm fit from one SVD
+   and numpy's pinv tail on a constant-column window), every pending
+   metric is scored on it without a model, and a model is built only
+   where a metric stops.
 4. Ingest: the row buffers grow by doubling and hold bitwise the rows
    a whole-matrix concatenation would.
 """
@@ -28,7 +30,7 @@ from repro.core import DreamEstimator, ExecutionHistory, OnlineDreamEstimator
 from repro.core import dream as dream_module
 from repro.ires.modelling import DreamStrategy
 from repro.ml import MultipleLinearRegression, r_squared
-from repro.ml.linear import WindowFactorisation, press_r_squared_from
+from repro.ml.linear import WindowFactorisation
 
 
 def drift_history(
@@ -263,6 +265,16 @@ class TestBatchedPrediction:
 # The shared window factorisation: constant columns and every pending
 # metric fitted on one factorisation per window.
 
+def reference_press(residuals, leverages, targets):
+    """PRESS R^2 in its ``np.clip``/``np.sum``/``** 2`` form (bitwise the
+    production tail: ``test_ml_models.TestPlainReductions``)."""
+    press = float(np.sum((residuals / np.clip(1.0 - leverages, 1e-6, None)) ** 2))
+    sst = float(np.sum((targets - targets.mean()) ** 2))
+    if sst == 0.0:
+        return 1.0 if press == 0.0 else -1.0
+    return max(-1.0, 1.0 - press / sst)
+
+
 def historical_fit(features, targets):
     """The batch fit as it ran before fits shared a factorisation: one
     solve-or-pinv and one pinv leverage pass per target."""
@@ -279,7 +291,7 @@ def historical_fit(features, targets):
     return (
         coefficients,
         r_squared(targets, fitted),
-        press_r_squared_from(residuals, leverages, targets),
+        reference_press(residuals, leverages, targets),
     )
 
 
@@ -294,7 +306,7 @@ def min_norm_fit(features, targets):
     return (
         coefficients,
         r_squared(targets, fitted),
-        press_r_squared_from(targets - fitted, leverages, targets),
+        reference_press(targets - fitted, leverages, targets),
     )
 
 
@@ -328,25 +340,34 @@ class TestConstantColumnWindows:
             )
             assert_same_fit(shared, *reference(features, targets))
             assert np.array_equal(shared.predict(features), alone.predict(features))
+            assert repr(window.press_r_squared(targets)) == repr(alone.press_r_squared_)
         assert (window._pinv_design is not None) is singular
         assert (window.normal is None) is singular
 
     def test_constant_window_runs_one_pinv_and_no_solve(self, monkeypatch):
-        """Per constant-column window: one ``pinv`` of the design, shared
-        by every pending metric; no ``solve`` and no ``pinv(A^T A)``."""
-        calls = {"solve": 0, "pinv": []}
+        """Per computed constant-column window: one ``numpy.linalg.svd`` of
+        the design (its pinv, numpy's tail applied inline), shared by
+        every pending metric; no ``pinv`` call, no ``solve`` and no
+        ``pinv(A^T A)``."""
+        calls = {"solve": 0, "pinv": 0, "svd": []}
         original_solve, original_pinv = np.linalg.solve, np.linalg.pinv
+        original_svd = np.linalg.svd
 
         def counting_solve(*args, **kwargs):
             calls["solve"] += 1
             return original_solve(*args, **kwargs)
 
-        def counting_pinv(matrix, *args, **kwargs):
-            calls["pinv"].append(np.shape(matrix))
-            return original_pinv(matrix, *args, **kwargs)
+        def counting_pinv(*args, **kwargs):
+            calls["pinv"] += 1
+            return original_pinv(*args, **kwargs)
+
+        def counting_svd(matrix, *args, **kwargs):
+            calls["svd"].append(np.shape(matrix))
+            return original_svd(matrix, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "solve", counting_solve)
         monkeypatch.setattr(np.linalg, "pinv", counting_pinv)
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
         rng = np.random.default_rng(8)
         metrics = ("time", "money", "energy")
         history = ExecutionHistory(("size", "nodes", "engine"), metrics)
@@ -357,8 +378,8 @@ class TestConstantColumnWindows:
         result = OnlineDreamEstimator(r2_required=0.999, max_window=30).fit(history)
         assert not result.converged and result.window_size == 30
         windows = range(5, 31)  # m = L + 2 .. Mmax
-        assert calls["solve"] == 0
-        assert calls["pinv"] == [(m, 4) for m in windows]
+        assert calls["svd"] == [(m, 4) for m in windows]
+        assert calls["solve"] == 0 and calls["pinv"] == 0
 
     def test_constant_recent_rows_varying_older_rows(self):
         """The chosen plan's node column is constant over recent rows and
@@ -387,21 +408,27 @@ class TestConstantColumnWindows:
     def test_one_factorisation_per_window_shared_by_pending_metrics(
         self, monkeypatch, engine
     ):
-        """Each searched window, with or without a constant column, builds
-        one factorisation of its own rows, and every metric still pending
-        at that window is fitted on it; converged metrics are not refitted."""
+        """Each searched window, with or without a constant column, has
+        one factorisation of its own rows, and every metric still
+        pending at that window is scored on it; converged metrics are not
+        rescored, and each metric gets one model, on its own window."""
         built: list[WindowFactorisation] = []
-        fitted: list[tuple[int, int]] = []  # (factorisation index, rows)
+        scored: list[tuple[int, int]] = []  # (factorisation index, rows)
+        modelled: list[tuple[int, int]] = []
 
         class Counting(WindowFactorisation):
             def __init__(self, design, constant_column=None):
                 super().__init__(design, constant_column)
                 built.append(self)
 
+            def press_r_squared(self, targets):
+                scored.append((built.index(self), len(targets)))
+                return super().press_r_squared(targets)
+
         original = MultipleLinearRegression.fit_window.__func__
 
         def counting_fit_window(cls, window, targets):
-            fitted.append((built.index(window), len(targets)))
+            modelled.append((built.index(window), len(targets)))
             return original(cls, window, targets)
 
         monkeypatch.setattr(dream_module, "WindowFactorisation", Counting)
@@ -411,7 +438,8 @@ class TestConstantColumnWindows:
         rng = np.random.default_rng(3)
         metrics = ("time", "money", "energy")
         history = ExecutionHistory(("size", "engine"), metrics)
-        for tick in range(40):
+
+        def append(tick):
             size = float(rng.uniform(10, 100))
             flag = 1.0 if engine == "constant" else float(tick % 2)
             costs = {
@@ -420,7 +448,11 @@ class TestConstantColumnWindows:
                 "energy": float(rng.normal(5, 2)),
             }
             history.append(tick, {"size": size, "engine": flag}, costs)
-        result = OnlineDreamEstimator(r2_required=0.9, max_window=30).fit(history)
+
+        for tick in range(40):
+            append(tick)
+        online = OnlineDreamEstimator(r2_required=0.9, max_window=30)
+        result = online.fit(history)
         windows = range(4, result.window_size + 1)  # m = L + 2 .. last window
         assert [len(window.design) for window in built] == list(windows)
         assert all((window.normal is None) is (engine == "constant") for window in built)
@@ -430,8 +462,146 @@ class TestConstantColumnWindows:
             for metric in metrics
             if result.window_sizes[metric] >= m
         ]
-        assert fitted == expected
+        assert scored == expected
+        assert sorted(modelled) == sorted(
+            (result.window_sizes[metric] - 4, result.window_sizes[metric])
+            for metric in metrics
+        )
         assert result.window_sizes["money"] < result.window_sizes["energy"] == 30
+
+        # A refit builds one factorisation per window it searches.
+        del built[:]
+        append(40)
+        again = online.fit(history)
+        assert [len(window.design) for window in built] == list(range(4, again.window_size + 1))
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        runs=st.lists(
+            st.tuples(st.integers(0, 2), st.integers(1, 15)), min_size=1, max_size=8
+        ),
+        required=st.sampled_from((0.5, 0.8, 0.999)),
+        max_window=st.one_of(st.none(), st.integers(min_value=5, max_value=20)),
+        chunks=st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=12),
+    )
+    @settings(max_examples=40)
+    def test_runs_of_one_chosen_plan_stay_bitwise_the_batch_fit(
+        self, seed, runs, required, max_window, chunks
+    ):
+        """Histories made of runs of repeated plans (the optimizer choosing
+        one of three plans for a while), refitted after chunks of appends:
+        every refit is bitwise the batch oracle's."""
+        rng = np.random.default_rng(seed)
+        plans = rng.uniform(1.0, 9.0, size=(3, 2))
+        plans[:, 1] = np.round(plans[:, 1])
+        names, metrics = ("size", "nodes"), ("time", "money")
+        source = ExecutionHistory(names, metrics)
+        rows = [plans[plan] for plan, length in runs for _ in range(length)]
+        rows = [plans[0]] * 4 + rows + [plans[runs[-1][0]]] * sum(chunks)
+        for tick, row in enumerate(rows):
+            costs = {
+                "time": float(3.0 + row @ (1.5, -0.5) + rng.normal(0, 0.3)),
+                "money": float(rng.normal(5, 2)),
+            }
+            source.append(tick, dict(zip(names, map(float, row))), costs)
+        online = OnlineDreamEstimator(required, max_window)
+        batch = DreamEstimator(required, max_window)
+        replay = ExecutionHistory(names, metrics)
+        observations = iter(source.observations)
+        for size in [len(rows) - sum(chunks)] + chunks:
+            for _, obs in zip(range(size), observations):
+                replay.append(obs.tick, obs.features, obs.costs)
+            assert_bitwise(online.fit(replay), batch.fit(replay.datasets()))
+
+
+KERNEL_CONSTANTS = (0.0, 1e-300, -1e-300, 1e8, 0.024993896484375)
+
+
+class TestWindowKernel:
+    """The lean window kernel against numpy and the model fit.
+
+    A constant-column window's ``pinv(A)`` comes from one SVD with
+    numpy's pinv tail inline; a window is scored without a model.  Both
+    must be byte for byte what ``numpy.linalg.pinv`` and
+    ``MultipleLinearRegression`` give."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        constant=st.sampled_from(KERNEL_CONSTANTS),
+        dimension=st.integers(min_value=1, max_value=4),
+        rows=st.integers(min_value=0, max_value=37),
+        identical_rows=st.booleans(),
+        offset=st.integers(min_value=0, max_value=3),
+        spread=st.sampled_from((None, 1e-16, 2e-15, 5e-15, 1e-13)),
+        target_kinds=st.lists(
+            st.sampled_from(("noisy", "linear", "constant")), min_size=1, max_size=3
+        ),
+    )
+    @settings(max_examples=150)
+    def test_constant_column_kernel_is_bitwise_numpy_and_the_model_fit(
+        self, seed, constant, dimension, rows, identical_rows, offset, spread, target_kinds
+    ):
+        """``spread``: one other column varies only by that relative
+        amount, which puts a singular value near pinv's ``1e-15`` cutoff."""
+        rng = np.random.default_rng(seed)
+        m = min(dimension + 2 + rows, 40)
+        features = rng.uniform(1.0, 100.0, size=(m, dimension))
+        held = int(rng.integers(0, dimension))
+        features[:, held] = constant
+        if spread is not None and dimension > 1:
+            other = (held + 1) % dimension
+            features[:, other] = features[0, other] * (1.0 + spread * rng.normal(size=m))
+        if identical_rows:  # a rank-1 design: the chosen plan repeated
+            features[:] = features[0]
+        # The search's windows are row slices of a wider design.
+        wide = np.vstack([rng.uniform(1.0, 100.0, size=(offset, dimension + 1)),
+                          np.hstack([np.ones((m, 1)), features])])
+        design = wide[offset:]
+        window = WindowFactorisation(design)
+        pinv = np.linalg.pinv(design)
+        assert window.normal is None
+        assert window._pinv_design.tobytes() == pinv.tobytes()
+        leverages = np.einsum("ij,ji->i", design, pinv)
+        assert window.leverages.tobytes() == leverages.tobytes()
+
+        for kind in target_kinds:
+            if kind == "constant":
+                targets = np.full(m, rng.choice([constant, 5.0, 0.1]))
+            else:
+                targets = 3.0 + features @ rng.uniform(-2.0, 2.0, size=dimension)
+                if kind == "noisy":
+                    targets = targets + rng.normal(0.0, 1.0, size=m)
+            alone = MultipleLinearRegression().fit(features, targets)
+            assert repr(window.press_r_squared(targets)) == repr(alone.press_r_squared_)
+            shared = MultipleLinearRegression.fit_window(window, targets)
+            assert shared.coefficients_.tobytes() == alone.coefficients_.tobytes()
+            assert repr(shared.r_squared_) == repr(alone.r_squared_)
+            assert repr(shared.press_r_squared_) == repr(alone.press_r_squared_)
+            assert_same_fit(shared, *min_norm_fit(features, targets))
+
+        # The models DREAM returns are fit_window's on their own windows.
+        metrics = ("time", "money", "energy")[: len(target_kinds)]
+        history = ExecutionHistory(tuple(f"x{i}" for i in range(dimension)), metrics)
+        costs = rng.normal(5.0, 2.0, size=(m, len(metrics)))
+        costs[:, 0] = 2.0 + features[:, 0]
+        for tick in range(m):
+            history.append(
+                tick,
+                {f"x{i}": float(features[tick, i]) for i in range(dimension)},
+                {metric: float(costs[tick, k]) for k, metric in enumerate(metrics)},
+            )
+        result = OnlineDreamEstimator(r2_required=0.8).fit(history)
+        assert_bitwise(result, DreamEstimator(r2_required=0.8).fit(history.datasets()))
+        for k, metric in enumerate(metrics):
+            size = result.window_sizes[metric]
+            expected = MultipleLinearRegression.fit_window(
+                WindowFactorisation(np.hstack([np.ones((size, 1)), features[m - size :]])),
+                costs[m - size :, k],
+            )
+            model = result.models[metric]
+            assert model.coefficients_.tobytes() == expected.coefficients_.tobytes()
+            assert repr(model.r_squared_) == repr(expected.r_squared_)
+            assert repr(model.press_r_squared_) == repr(expected.press_r_squared_)
 
 
 # ---------------------------------------------------------------------------

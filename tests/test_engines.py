@@ -1,5 +1,10 @@
 """Tests for the engine simulators and multi-engine federation simulator."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cloud import CloudProvider, Cluster, find_instance
@@ -237,3 +242,52 @@ class TestMultiEngineSimulator:
         vector = metrics.as_vector(("time", "money", "intermediate", "energy"))
         assert len(vector) == 4
         assert vector[0] > 0 and vector[1] > 0
+
+
+#: One simulator run over a three-site profile, in a fresh interpreter:
+#: prints the money of 5,000 durations.
+THREE_SITE_MONEY = """
+from repro.cloud.federation import paper_federation
+from repro.engines import MultiEngineSimulator
+from repro.plans.binder import plan_sql
+from repro.plans.optimizer import optimize
+from repro.plans.physical import EnginePlacement, Placement, profile_plan
+from repro.tpch import TPCH_QUERIES, TpchDataset
+
+dataset = TpchDataset(scale_mib=100, physical_scale_factor=0.0005)
+federation = paper_federation()
+placement = Placement(
+    tables={
+        "orders": EnginePlacement("hive", "cloud-a"),
+        "lineitem": EnginePlacement("postgresql", "cloud-b"),
+    },
+    execution=EnginePlacement("spark", "cloud-c"),
+)
+clusters = {
+    "cloud-a": federation.provision("cloud-a", "a1.xlarge", 3),
+    "cloud-b": federation.provision("cloud-b", "B2S", 2),
+    "cloud-c": federation.provision("cloud-c", "n1-standard-2", 5),
+}
+sql = TPCH_QUERIES["q12"].render({"shipmode1": "MAIL", "shipmode2": "SHIP", "year": 1994})
+profile = profile_plan(optimize(plan_sql(sql, dataset.catalog)), dataset.logical_stats, placement)
+assert sorted(p.site for p in profile.participating()) == sorted(clusters)
+simulator = MultiEngineSimulator(federation, seed=5)
+print([simulator._money(profile, clusters, 0.37 * k + 0.011) for k in range(5000)])
+"""
+
+
+class TestMoneyOverThreeSites:
+    def test_money_does_not_depend_on_the_hash_seed(self):
+        """Three sites' compute costs are summed in one order whatever
+        ``PYTHONHASHSEED`` is: summed in set order, the money differed
+        between these two seeds."""
+        source = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = []
+        for hash_seed in ("1", "7"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=source)
+            run = subprocess.run(
+                [sys.executable, "-c", THREE_SITE_MONEY],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            outputs.append(run.stdout)
+        assert outputs[0] == outputs[1]
