@@ -255,7 +255,9 @@ class DreamEstimator:
         r2: dict[str, float] = {metric: 0.0 for metric in datasets}
         window_sizes: dict[str, int] = {}
         ranges: dict[str, tuple[float, float]] = {}
-        pending = set(datasets)
+        # A dict, not a set: stragglers are inserted into the result's
+        # dicts in metric order, whatever PYTHONHASHSEED is.
+        pending = dict.fromkeys(datasets)
 
         while True:
             windows: dict[str, tuple[WindowFactorisation, Dataset]] = {}
@@ -269,7 +271,7 @@ class DreamEstimator:
                 windows[metric] = shared, window
                 r2[metric] = shared.press_r_squared(window.targets)
                 if r2[metric] >= self._required(metric):
-                    pending.discard(metric)
+                    del pending[metric]
                     models[metric] = MultipleLinearRegression.fit_window(
                         shared, window.targets
                     )
@@ -435,7 +437,7 @@ class OnlineDreamEstimator(DreamEstimator):
         r2: dict[str, float] = {metric: 0.0 for metric in metrics}
         window_sizes: dict[str, int] = {}
         ranges: dict[str, tuple[float, float]] = {}
-        pending = set(metrics)
+        pending = dict.fromkeys(metrics)  # metric order, as in fit()
 
         while True:
             shared = WindowFactorisation(
@@ -447,7 +449,7 @@ class OnlineDreamEstimator(DreamEstimator):
                 window_y = self._metric_targets[metric][total - m : total]
                 r2[metric] = shared.press_r_squared(window_y)
                 if r2[metric] >= self._required(metric):
-                    pending.discard(metric)
+                    del pending[metric]
                     models[metric] = MultipleLinearRegression.fit_window(
                         shared, window_y
                     )

@@ -201,7 +201,7 @@ class SubmissionReport:
         return self.result.chosen.objectives
 
     @property
-    def pareto_set(self) -> list[Candidate]:
+    def pareto_set(self) -> tuple[Candidate, ...]:
         return self.result.pareto_set
 
     @property

@@ -542,11 +542,14 @@ class FederationGateway:
         * parse — the Interface (one parse per distinct SQL);
         * enumerate — the policy-filtered QEP space; skipped for an
           explicit ``candidate``, and replaced by a pinned session's
-          cached ``(space, features matrix)`` through ``space_of``;
+          cached ``(space, fronts)`` through ``space_of``, where
+          ``fronts`` maps a metrics tuple to the query instance's Pareto
+          search under the pinned model;
         * under the tick scope: choose — fit-or-fetch (or the pinned
-          ``cost_model``), Pareto search and Algorithm 2 for a
-          submission, ``candidate_index`` or rotation for an
-          observation — then execute (unless plan-only) and journal;
+          ``cost_model``), Pareto search (or the session's front for
+          the policy's metrics) and Algorithm 2 for a submission,
+          ``candidate_index`` or rotation for an observation — then
+          execute (unless plan-only) and journal;
         * audit, then the typed report.
         """
         key = request.template
@@ -555,9 +558,9 @@ class FederationGateway:
         engine = self.engine
         constraint = self._admit(key, principal, candidate)
         query = engine.receive(key, request.params, request.policy if submit else None)
-        space = matrix = None
+        space = fronts = None
         if candidate is None and space_of is not None:
-            space, matrix = space_of(query, principal, constraint)
+            space, fronts = space_of(query, principal, constraint)
         elif candidate is None:
             space = self._space(key, query, principal, constraint, stats)
         pinned = cost_model is not None
@@ -568,7 +571,7 @@ class FederationGateway:
                 if submit:
                     if cost_model is None:
                         cost_model = self._pin(key)[0]
-                    result = engine.plan(query, space, cost_model, matrix)
+                    result = engine.plan(query, space, cost_model, fronts)
                     candidate = result.chosen_candidate
                 elif candidate is None:
                     candidate, rotation = self._explore(key, request, space)

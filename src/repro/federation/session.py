@@ -13,10 +13,14 @@ re-pinned (closing the ROADMAP "snapshot pinning" follow-on).
 
 :meth:`GatewaySession.submit_many` additionally batches: the whole
 parameter batch shares the pinned model, and the QEP space is enumerated
-(and its feature matrix built) once per *distinct query instance* —
-repeat parameters, e.g. a policy/weight sweep over one query, cost one
-enumeration total (while the instance stays among the session's
-:data:`SESSION_ENUMERATIONS` most recent ones).
+once per *distinct query instance*.  The Pareto set depends only on that
+space, the model and the policy's metrics, so the instance's entry also
+keeps one Pareto search per metrics tuple: a policy/weight sweep over
+one query costs one enumeration and one Pareto search per metrics
+tuple, and every other request runs Algorithm 2 alone (while the
+instance stays among the session's :data:`SESSION_ENUMERATIONS` most
+recent ones).  A repin, a close or an eviction drops the searches with
+their entry.
 """
 
 from __future__ import annotations
@@ -61,9 +65,11 @@ class GatewaySession:
         self._model: FittedCostModel | None = None
         self._pinned_version: int | None = None
         #: (rendered SQL, governance-constraint signature) -> (candidates,
-        #: features matrix) of the :data:`SESSION_ENUMERATIONS` most
-        #: recent query instances (the pinned model fixes the feature
-        #: order, so the matrix is reusable too).  The constraint
+        #: fronts) of the :data:`SESSION_ENUMERATIONS` most recent query
+        #: instances; ``fronts`` maps a metrics tuple to its Pareto
+        #: search under the pinned model (front and provenance only: a
+        #: feature matrix is built on a miss and dropped, as it is the
+        #: size of the space and a hit never reads it).  The constraint
         #: signature keys the cache because principals may differ across
         #: one batch: two callers with different admissible spaces never
         #: share an entry (the signature is None for unconstrained
@@ -103,8 +109,8 @@ class GatewaySession:
     def repin(self) -> FittedCostModel:
         """(Re-)pin the current fitted snapshot of the template.
 
-        Invalidates the enumeration cache: a new model may order features
-        differently, and cached matrices belong to the old pin.
+        Invalidates the enumeration cache: cached fronts belong to the
+        old pin's model.
         """
         self._require_open()
         model, version = self._gateway._pin(self.template)
@@ -151,13 +157,13 @@ class GatewaySession:
 
     def _space(self, query, principal, constraint):
         """The session's enumerate stage: the gateway's, memoized per
-        query instance together with its feature matrix in the pinned
-        model's order."""
+        query instance together with a map, filled by the plan stage,
+        from metrics tuple to Pareto search."""
         key = (query.sql, None if constraint is None else constraint.signature)
         cached = self._enumerations.get(key)
         if cached is None:
             space = self._gateway._space(self.template, query, principal, constraint)
-            cached = (space, MultiObjectiveOptimizer.candidate_matrix(space, self._model))
+            cached = (space, {})
             self._enumerations.put(key, cached)
         return cached
 
@@ -169,9 +175,11 @@ class GatewaySession:
     ) -> BatchReport:
         """Plan (and by default execute) a whole parameter batch.
 
-        One pinned model, one enumeration per distinct query instance.
-        ``execute=False`` turns the batch into a pure planning sweep —
-        nothing is run, the history does not move.
+        One pinned model, one enumeration per distinct query instance
+        and one Pareto search per instance and metrics tuple: a weight
+        sweep over one instance runs Algorithm 2 alone after its first
+        request.  ``execute=False`` turns the batch into a pure planning
+        sweep — nothing is run, the history does not move.
         """
         self._require_open()
         items = list(requests)

@@ -23,7 +23,8 @@ only while a grid is built.  It also keeps one :class:`Placement` per
 execution option and, per ``(plan, stats, tables, execution)``, the
 size + indicator feature prefix, for the last :data:`PREFIX_CAPACITY`
 combinations; a repeated plan (the Interface hands out one shared plan
-per distinct SQL) skips profiling.
+per distinct SQL) skips profiling, and a new one is profiled once for
+all its execution options.
 
 ``enumerate`` returns a :class:`QepSpace`: a sequence over one
 ``(placement, prefix)`` pair per admitted execution option times the
@@ -346,12 +347,33 @@ class QepEnumerator:
         grid, executions, indicator_options = self._skeleton(tables)
         if constraint is not None:
             executions = [e for e in executions if constraint.permits(e.site)]
+        sizes = None
         options = []
         for execution in executions:
             placement = self._placement(execution)
-            options.append(
-                (placement, self._prefix(plan, stats, tables, placement, indicator_options))
-            )
+            # The entry holds plan and stats, so a recycled id() never
+            # matches it.
+            key = (id(plan), id(stats), tables, execution)
+            cached = self._prefixes.get(key)
+            if cached is not None and cached[0] is plan and cached[1] is stats:
+                options.append((placement, cached[2]))
+                continue
+            if sizes is None:
+                sizes = self._sizes(plan, stats, tables, placement)
+                # Only a stats object seen before is cached: per-call
+                # statistics (the sampled inputs of profiling runs) never
+                # repeat, and caching them would pin tens of KB of
+                # statistics per entry.
+                cacheable = self._stats_seen.get(id(stats)) is stats
+                if not cacheable:
+                    self._stats_seen.put(id(stats), stats)
+            prefix = dict(sizes)
+            for indicator in indicator_options:
+                flag = 1.0 if indicator == execution else 0.0
+                prefix[f"exec_{indicator.engine}_{indicator.site}"] = flag
+            if cacheable:
+                self._prefixes.put(key, (plan, stats, prefix))
+            options.append((placement, prefix))
         return QepSpace(query_key, options, grid)
 
     def _skeleton(self, tables: tuple[str, ...]):
@@ -384,40 +406,21 @@ class QepEnumerator:
             )
         return placement
 
-    def _prefix(
-        self,
+    @staticmethod
+    def _sizes(
         plan: LogicalPlan,
         stats: dict[str, TableStats],
         tables: tuple[str, ...],
         placement: Placement,
-        indicator_options: list[EnginePlacement],
     ) -> dict[str, float]:
-        """Size features (one ``profile_plan``) + execution indicators.
-
-        Keyed by the identities of ``plan`` and ``stats``; the entry holds
-        both objects, so a recycled ``id()`` can never match it.  Only a
-        ``stats`` object seen before is cached: per-call statistics (the
-        sampled inputs of profiling runs) never repeat, and caching them
-        would pin tens of KB of statistics per entry.
-        """
-        execution = placement.execution
-        key = (id(plan), id(stats), tables, execution)
-        cached = self._prefixes.get(key)
-        if cached is not None and cached[0] is plan and cached[1] is stats:
-            return cached[2]
-        # Sizes do not depend on node counts: profile once per placement.
+        """The size features of one query instance, from one
+        ``profile_plan``.  Sizes depend on neither node counts nor the
+        placement (it only labels operators and transfers), so any
+        execution option's placement gives every option's sizes."""
         profile = profile_plan(plan, stats, placement)
-        prefix = {
+        return {
             f"size_{table.lower()}_mib": bytes_to_mib(
                 profile.effective_table_bytes.get(table.lower(), 0.0)
             )
             for table in tables
         }
-        for indicator in indicator_options:
-            flag = 1.0 if indicator == execution else 0.0
-            prefix[f"exec_{indicator.engine}_{indicator.site}"] = flag
-        if self._stats_seen.get(id(stats)) is stats:
-            self._prefixes.put(key, (plan, stats, prefix))
-        else:
-            self._stats_seen.put(id(stats), stats)
-        return prefix

@@ -38,10 +38,12 @@ class ParetoSearch:
 
     The ``exact -> nsga2`` degradation above ``exact_limit`` used to be
     silent; ``algorithm_used`` (and the ``exact_fallback`` flag) make it
-    observable all the way up to :class:`SubmissionReport`.
+    observable all the way up to :class:`SubmissionReport`.  A pinned
+    session hands one search to every report on its query instance, so
+    the set is a tuple: no report can change another's.
     """
 
-    pareto_set: list[Candidate]
+    pareto_set: tuple[Candidate, ...]
     #: Algorithm the configuration asked for.
     algorithm: str
     #: Algorithm that actually ran ("exact", "nsga2" or "nsga-g").
@@ -190,18 +192,18 @@ class MultiObjectiveOptimizer:
             # One prediction for the whole space; only the front is
             # wrapped as Candidates, the rest stay matrix rows.
             objectives = cost_model.model.predict_matrix(features, metrics)
-            pareto = [
+            pareto = tuple(
                 Candidate(candidates[i], tuple(map(float, objectives[i])))
                 for i in pareto_front_indices(objectives)
-            ]
+            )
         else:
             problem = self.build_problem(
                 candidates, cost_model, metrics, features_matrix=features_matrix
             )
             if algorithm == "nsga2":
-                pareto = Nsga2(self.config.nsga2).optimise(problem)
+                pareto = tuple(Nsga2(self.config.nsga2).optimise(problem))
             else:
-                pareto = NsgaG(self.config.nsga_g).optimise(problem)
+                pareto = tuple(NsgaG(self.config.nsga_g).optimise(problem))
         return ParetoSearch(
             pareto_set=pareto,
             algorithm=requested,
@@ -215,13 +217,13 @@ class MultiObjectiveOptimizer:
         cost_model: FittedCostModel,
         metrics: tuple[str, ...],
         features_matrix: np.ndarray | None = None,
-    ) -> list[Candidate]:
+    ) -> tuple[Candidate, ...]:
         """The (approximate) Pareto plan set under predicted costs."""
         return self.pareto_search(
             candidates, cost_model, metrics, features_matrix=features_matrix
         ).pareto_set
 
     @staticmethod
-    def choose(pareto_set: list[Candidate], policy: UserPolicy) -> Candidate:
+    def choose(pareto_set: Sequence[Candidate], policy: UserPolicy) -> Candidate:
         """Algorithm 2: constraints B, then minimum weighted sum S."""
         return best_in_pareto(pareto_set, policy.weights, policy.constraints)

@@ -47,7 +47,8 @@ class SubmissionResult:
     request: QueryRequest
     cost_model: FittedCostModel
     candidate_count: int
-    pareto_set: list[Candidate]
+    #: Shared by every result planned from one memoised search.
+    pareto_set: tuple[Candidate, ...]
     chosen: Candidate
     #: ``None`` for plan-only submissions (``execute=False``).
     execution: QueryExecution | None
@@ -186,19 +187,24 @@ class IReSPlatform:
         request: QueryRequest,
         candidates: Sequence[QepCandidate],
         cost_model: FittedCostModel,
-        features_matrix=None,
+        fronts: dict | None = None,
     ) -> SubmissionResult:
         """Steps 3b-4: Pareto search under ``cost_model``, then Algorithm 2.
 
-        ``features_matrix`` optionally supplies the candidates' feature
-        rows precomputed (a pinned session reuses one per query
-        instance).  The result is plan-only: its ``execution`` is
-        ``None`` until :meth:`execute` runs the chosen QEP.
+        ``fronts`` optionally memoises the Pareto search by metrics
+        tuple: the set depends only on the candidates, the model and the
+        metrics, so a caller that fixes the first two (a pinned session,
+        per query instance) runs Algorithm 2 alone on a hit.  The result
+        is plan-only: its ``execution`` is ``None`` until :meth:`execute`
+        runs the chosen QEP.
         """
         policy = request.policy
-        search = self.optimizer.pareto_search(
-            candidates, cost_model, policy.metrics, features_matrix=features_matrix
-        )
+        metrics = tuple(policy.metrics)
+        search = None if fronts is None else fronts.get(metrics)
+        if search is None:
+            search = self.optimizer.pareto_search(candidates, cost_model, metrics)
+            if fronts is not None:
+                fronts[metrics] = search
         return SubmissionResult(
             request=request,
             cost_model=cost_model,

@@ -1,5 +1,10 @@
 """Tests for DREAM (Algorithm 1), the BML baseline and the history store."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -322,3 +327,45 @@ class TestMultiCostModel:
         assert list(vector) == [1.0, 2.0]
         with pytest.raises(EstimationError, match="missing feature"):
             multi.features_dict_to_vector({"x0": 1.0})
+
+
+#: Batch and online DREAM over four pure-noise metrics that never reach
+#: R^2 = 1, so all four stop at the widest window as stragglers; prints
+#: both pickled results, in a fresh interpreter.
+STRAGGLER_PICKLES = """
+import pickle
+from repro.common.rng import RngStream
+from repro.core import DreamEstimator, ExecutionHistory, OnlineDreamEstimator
+
+metrics = ("time", "money", "energy", "intermediate")
+rng = RngStream(3, "stragglers")
+history = ExecutionHistory(("size", "nodes"), metrics)
+for tick in range(30):
+    history.append(
+        tick,
+        {"size": float(rng.uniform(1, 10)), "nodes": float(rng.integers(1, 9))},
+        {metric: float(rng.normal(0, 1)) for metric in metrics},
+    )
+batch = DreamEstimator(r2_required=1.0, max_window=12).fit(history.datasets())
+online = OnlineDreamEstimator(r2_required=1.0, max_window=12).fit(history)
+assert not batch.converged and not online.converged
+print(pickle.dumps(batch).hex())
+print(pickle.dumps(online).hex())
+"""
+
+
+class TestStragglersOverHashSeeds:
+    def test_pickled_results_do_not_depend_on_the_hash_seed(self):
+        """Metrics that never converge enter ``window_sizes`` and
+        ``target_ranges`` in metric order whatever ``PYTHONHASHSEED`` is:
+        inserted in set order, the pickles differed between these seeds."""
+        source = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = []
+        for hash_seed in ("1", "7"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=source)
+            run = subprocess.run(
+                [sys.executable, "-c", STRAGGLER_PICKLES],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            outputs.append(run.stdout)
+        assert outputs[0] == outputs[1]

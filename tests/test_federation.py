@@ -378,7 +378,7 @@ class TestPredictionErrorSemantics:
             request=None,
             cost_model=None,
             candidate_count=1,
-            pareto_set=[],
+            pareto_set=(),
             chosen=Candidate(None, tuple(predicted)),
             execution=execution,
         )
@@ -405,7 +405,7 @@ class TestPredictionErrorSemantics:
 
         result = SubmissionResult(
             request=None, cost_model=None, candidate_count=1,
-            pareto_set=[], chosen=Candidate(None, (1.0,)), execution=None,
+            pareto_set=(), chosen=Candidate(None, (1.0,)), execution=None,
         )
         with pytest.raises(EstimationError, match="not executed"):
             result.prediction_error(("time",))

@@ -6,7 +6,9 @@ of engine-room stage functions.
   ``FederationGateway._run`` once per request and call the platform's
   stage functions (``receive``, ``enumerate``, ``plan``, ``execute``)
   exactly as often as the request needs; every QEP enumeration goes
-  through the one ``enumerate`` stage.
+  through the one ``enumerate`` stage, and every Pareto search through
+  ``plan`` (a pinned session searches once per query instance and
+  metrics tuple).
 * Hooks — a denied request stops at the governance stage (nothing
   parsed, enumerated or ticked), and a request that fails after its tick
   was assigned journals that tick, observations included, so a
@@ -32,6 +34,7 @@ from repro.federation import (
     SubmitRequest,
 )
 from repro.ires.enumerator import QepEnumerator
+from repro.ires.optimizer import MultiObjectiveOptimizer
 from repro.ires.platform import IReSPlatform
 from repro.midas import MEDICAL_QUERIES, MidasSystem
 
@@ -41,7 +44,8 @@ STAGES = ("receive", "enumerate", "plan", "execute")
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts of pipeline runs, stage calls and raw enumerator calls."""
+    """Counts of pipeline runs, stage calls and raw enumerator and
+    Pareto-search calls."""
     counts = Counter()
 
     def count(owner, name, label):
@@ -57,6 +61,7 @@ def calls(monkeypatch):
     for stage in STAGES:
         count(IReSPlatform, stage, stage)
     count(QepEnumerator, "enumerate", "enumerator")
+    count(MultiObjectiveOptimizer, "pareto_search", "pareto")
     return counts
 
 
@@ -102,11 +107,14 @@ ENTRY_POINTS = {
         lambda gateway: gateway.candidates(KEY, {"min_age": 40}),
         dict(receive=1, enumerate=1),
     ),
-    # A repeated query instance is a session cache hit: no enumeration.
-    "session": (_session_sweep, dict(run=3, receive=3, enumerate=2, plan=3)),
+    # A repeated query instance is a session cache hit: no enumeration
+    # and no Pareto search.
+    "session": (
+        _session_sweep, dict(run=3, receive=3, enumerate=2, plan=3, pareto=2)
+    ),
     "submit_many": (
         lambda gateway: gateway.submit_many([submit(40), submit(40)]),
-        dict(run=2, receive=2, enumerate=1, plan=2, execute=2),
+        dict(run=2, receive=2, enumerate=1, plan=2, pareto=1, execute=2),
     ),
     "front door": (
         _front_door,
@@ -121,7 +129,9 @@ def test_every_entry_point_runs_the_one_pipeline(entry, gateway, calls):
     calls.clear()
     action(gateway)
     counts = dict(calls)
+    expected = dict(expected)
     assert counts.pop("enumerator", 0) == expected.get("enumerate", 0)
+    assert counts.pop("pareto", 0) == expected.pop("pareto", expected.get("plan", 0))
     assert counts == expected
 
 

@@ -126,6 +126,21 @@ def adhoc(sql, generator=lambda rng: {}):
     return QueryTemplate("adhoc", "ad hoc", ("none", "none"), sql, generator)
 
 
+def reference_prefix(plan, stats, tables, placement, indicators):
+    """One execution option's size + indicator features, from that
+    option's own ``profile_plan``."""
+    profile = profile_plan(plan, stats, placement)
+    prefix = {
+        f"size_{table}_mib": bytes_to_mib(profile.effective_table_bytes.get(table, 0.0))
+        for table in tables
+    }
+    for indicator in indicators:
+        prefix[f"exec_{indicator.engine}_{indicator.site}"] = float(
+            indicator == placement.execution
+        )
+    return prefix
+
+
 def reference_space(enumerator, key, plan, stats, tables, constraint=None):
     """The QEP space built directly from ``profile_plan`` and ``Cluster``,
     with no cache anywhere."""
@@ -143,17 +158,7 @@ def reference_space(enumerator, key, plan, stats, tables, constraint=None):
     space = []
     for execution in executions:
         placement = deployment.placement_for(execution)
-        profile = profile_plan(plan, stats, placement)
-        prefix = {
-            f"size_{table}_mib": bytes_to_mib(
-                profile.effective_table_bytes.get(table, 0.0)
-            )
-            for table in tables
-        }
-        for indicator in indicators:
-            prefix[f"exec_{indicator.engine}_{indicator.site}"] = float(
-                indicator == execution
-            )
+        prefix = reference_prefix(plan, stats, tables, placement, indicators)
         for combo in itertools.product(*per_site):
             clusters = {}
             for site, count in combo:
@@ -425,6 +430,32 @@ def test_cached_enumeration_equals_a_direct_build(environments, family, template
 
 
 @pytest.mark.parametrize("family,template", TEMPLATES, ids=lambda v: getattr(v, "key", v))
+def test_one_profile_serves_every_execution_option(environments, family, template):
+    """Table sizes do not depend on the placement: ``effective_table_bytes``
+    is repr-equal across every execution option, and the prefixes of an
+    enumeration that profiles once are byte-equal to per-option ones."""
+    env = environments[family]
+    enumerator = env.fresh_enumerator()
+    tables = template.tables
+    executions = env.deployment.execution_options(tables)
+    placements = [env.deployment.placement_for(e) for e in executions]
+    indicators = sorted(executions, key=lambda p: (p.engine, p.site))[1:]
+    assert len(placements) > 1
+    for plan in received_plans(env, template, SAMPLES):
+        sizes = {
+            repr(profile_plan(plan, env.stats, placement).effective_table_bytes)
+            for placement in placements
+        }
+        assert len(sizes) == 1, sizes
+        space = enumerator.enumerate(template.key, plan, env.stats, tables)
+        assert [placement for placement, _prefix in space.options] == placements
+        assert [repr(list(prefix.items())) for _placement, prefix in space.options] == [
+            repr(list(reference_prefix(plan, env.stats, tables, p, indicators).items()))
+            for p in placements
+        ]
+
+
+@pytest.mark.parametrize("family,template", TEMPLATES, ids=lambda v: getattr(v, "key", v))
 def test_stats_override_is_never_served_the_default_prefix(
     environments, family, template
 ):
@@ -582,13 +613,14 @@ def test_prefix_cache_evicts_at_its_bound(environments, monkeypatch):
         return profiles["n"] - before
 
     assert first is not second
-    # A stats object is cached from its second sighting on.
-    assert enumerate_(first) == 2
-    assert enumerate_(first) >= 1
+    # One profile per enumeration, for both execution options; a stats
+    # object is cached from its second sighting on.
+    assert enumerate_(first) == 1
+    assert enumerate_(first) == 1
     assert enumerate_(first) == 0
-    assert enumerate_(second) == 2  # evicts the first plan's entries
+    assert enumerate_(second) == 1  # evicts the first plan's entries
     assert enumerate_(second) == 0
-    assert enumerate_(first) == 2
+    assert enumerate_(first) == 1
 
 
 def test_provision_is_memoized_and_never_caches_errors(environments):
