@@ -1,4 +1,4 @@
-"""Bounded model cache: LRU capacity + idle-TTL expiry, exact counters.
+"""Bounded model cache: LRU capacity, exact counters.
 
 Long-running multi-tenant deployments register far more query templates
 than are hot at any moment.  :class:`ModelCache` bounds the per-template
@@ -8,12 +8,10 @@ keep for the process lifetime (the ROADMAP "model cache eviction" item):
 
 * **LRU capacity** — at most ``capacity`` entries; inserting past that
   evicts the least-recently-used entry.
-* **Idle TTL** — an entry untouched for ``ttl_seconds`` expires on its
-  next lookup (lazy expiry: no background thread).
 * **Exact stats** — every lookup is classified as exactly one of hit /
-  miss, and every removal as eviction (capacity, ``clear``, or a
-  recycled-key replacement) or expiration (TTL), under one lock, so
-  tests can assert the counters precisely.
+  miss, and every removal (capacity, ``clear``, or a recycled-key
+  replacement) counts as an eviction, under one lock, so tests can
+  assert the counters precisely.
 
 Eviction is always safe for estimation engines: their state is derived
 from the (append-only) execution history, so a re-created engine refits
@@ -21,35 +19,16 @@ to the identical window and predictions — only the incremental speedup
 is lost for one call.  The cache is thread-safe; the factory passed to
 :meth:`ModelCache.get_or_create` runs under the cache lock and must be
 cheap (construct the engine, do not fit it).
-
-TTL behaviour is testable without sleeping at two levels: pass a
-``clock`` per cache, or monkeypatch the module-level :data:`time_fn`
-default — caches constructed without an explicit clock (e.g. deep
-inside a registry factory) read ``time_fn`` at every lookup, so a test
-can fast-forward them after construction.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.common.validation import require
-
-#: Default clock (monotonic seconds) for caches built without an
-#: explicit ``clock``.  Looked up at call time, never captured at
-#: construction, so ``monkeypatch.setattr("repro.core.cache.time_fn",
-#: fake)`` makes TTL expiry deterministic even for caches created by
-#: code that does not expose the clock parameter.
-time_fn: Callable[[], float] = time.monotonic
-
-
-def _default_clock() -> float:
-    return time_fn()
-
 
 @dataclass(frozen=True)
 class CacheStats:
@@ -58,7 +37,6 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    expirations: int = 0
     size: int = 0
 
     @property
@@ -71,48 +49,30 @@ class CacheStats:
 
 
 class _Entry:
-    __slots__ = ("value", "anchor", "last_used")
+    __slots__ = ("value", "anchor")
 
-    def __init__(self, value: Any, anchor: Any, last_used: float):
+    def __init__(self, value: Any, anchor: Any):
         self.value = value
         self.anchor = anchor
-        self.last_used = last_used
 
 
 class ModelCache:
-    """Thread-safe LRU + idle-TTL cache for per-template model engines.
+    """Thread-safe LRU cache for per-template model engines.
 
     Parameters
     ----------
     capacity:
         Maximum number of live entries (>= 1).
-    ttl_seconds:
-        Entries idle longer than this expire on their next lookup;
-        ``None`` disables TTL.
-    clock:
-        Monotonic-seconds source, injectable for tests; ``None`` (the
-        default) defers to the monkeypatchable module-level
-        :data:`time_fn` on every lookup.
     """
 
-    def __init__(
-        self,
-        capacity: int = 64,
-        ttl_seconds: float | None = None,
-        clock: Callable[[], float] | None = None,
-    ):
+    def __init__(self, capacity: int = 64):
         require(capacity >= 1, f"capacity must be >= 1, got {capacity}")
-        if ttl_seconds is not None:
-            require(ttl_seconds > 0, f"ttl_seconds must be > 0, got {ttl_seconds}")
         self.capacity = int(capacity)
-        self.ttl_seconds = ttl_seconds
-        self._clock = clock if clock is not None else _default_clock
         self._entries: OrderedDict[Any, _Entry] = OrderedDict()
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
         self._evictions = 0
-        self._expirations = 0
 
     # Lookup ---------------------------------------------------------------
 
@@ -127,57 +87,34 @@ class ModelCache:
         creation time.  The anchor is held by the entry, keeping the
         anchored object (e.g. an execution history) alive while cached.
         """
-        now = self._clock()
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
-                if self._expired(entry, now):
-                    del self._entries[key]
-                    self._expirations += 1
-                elif anchor is not None and entry.anchor is not anchor:
+                if anchor is not None and entry.anchor is not anchor:
                     # Recycled key: the stale entry's removal counts as
                     # an eviction so every removal stays accounted for,
                     # and the lookup itself is a miss.
                     del self._entries[key]
                     self._evictions += 1
                 else:
-                    entry.last_used = now
                     self._entries.move_to_end(key)
                     self._hits += 1
                     return entry.value
             self._misses += 1
             value = factory()
-            self._entries[key] = _Entry(value, anchor, now)
+            self._entries[key] = _Entry(value, anchor)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self._evictions += 1
             return value
 
     def peek(self, key: Any) -> Any | None:
-        """The cached value without touching LRU order, TTL, or counters."""
+        """The cached value without touching LRU order or counters."""
         with self._lock:
             entry = self._entries.get(key)
             return None if entry is None else entry.value
 
-    def _expired(self, entry: _Entry, now: float) -> bool:
-        return (
-            self.ttl_seconds is not None
-            and now - entry.last_used > self.ttl_seconds
-        )
-
     # Maintenance ----------------------------------------------------------
-
-    def purge_expired(self) -> int:
-        """Drop every idle-expired entry now; returns how many."""
-        now = self._clock()
-        with self._lock:
-            stale = [
-                key for key, entry in self._entries.items() if self._expired(entry, now)
-            ]
-            for key in stale:
-                del self._entries[key]
-            self._expirations += len(stale)
-            return len(stale)
 
     def clear(self) -> None:
         """Drop all entries (counted as evictions)."""
@@ -202,14 +139,12 @@ class ModelCache:
                 hits=self._hits,
                 misses=self._misses,
                 evictions=self._evictions,
-                expirations=self._expirations,
                 size=len(self._entries),
             )
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         s = self.stats
         return (
-            f"ModelCache(size={s.size}/{self.capacity}, ttl={self.ttl_seconds}, "
-            f"hits={s.hits}, misses={s.misses}, evictions={s.evictions}, "
-            f"expirations={s.expirations})"
+            f"ModelCache(size={s.size}/{self.capacity}, "
+            f"hits={s.hits}, misses={s.misses}, evictions={s.evictions})"
         )

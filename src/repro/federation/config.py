@@ -3,13 +3,13 @@
 :class:`FederationConfig` replaces the ad-hoc keyword threading the old
 entry surfaces required (``IReSPlatform(...)`` positional wiring,
 ``DreamStrategy(r2_required=..., max_window=..., engine_cache=...)``,
-``ModelCache(capacity=..., ttl_seconds=...)``) with one frozen value
+``ModelCache(capacity=...)``) with one frozen value
 object: strategy selection by registry name, estimation thresholds,
 engine-cache budget, optimizer algorithm and serving backend.  There is
 no refresh-pool width: the in-process backend refits serially (a thread
 pool measured slower) and the sharded backend runs one parent thread
 per busy shard.  Every field is
-validated eagerly in ``__post_init__`` — a bad capacity or TTL fails at
+validated eagerly in ``__post_init__`` — a bad capacity fails at
 construction with a :class:`~repro.federation.errors.GatewayConfigError`
 instead of deep inside the first fit.
 """
@@ -72,8 +72,8 @@ class FederationConfig:
         The default limit covers the paper's full Example 3.1 space
         (18,200 equivalent QEPs) — the vectorized front scan makes
         exhaustive MOQP at that scale a milliseconds operation.
-    cache_capacity / cache_ttl_seconds:
-        LRU bound and idle TTL of the shared estimation-engine cache.
+    cache_capacity:
+        LRU bound of the shared estimation-engine cache.
     serving_backend / shard_workers / shard_rpc_timeout:
         Which serving layer fronts the estimation strategy (see
         :func:`repro.federation.registry.available_serving_backends`):
@@ -153,7 +153,6 @@ class FederationConfig:
     optimizer_algorithm: str = "exact"
     exact_limit: int = DEFAULT_EXACT_LIMIT
     cache_capacity: int = DEFAULT_CACHE_CAPACITY
-    cache_ttl_seconds: float | None = None
     serving_backend: str = "threaded"
     shard_workers: int | None = None
     shard_rpc_timeout: float | None = None
@@ -195,10 +194,6 @@ class FederationConfig:
         if self.cache_capacity < 1:
             raise GatewayConfigError(
                 f"cache_capacity must be >= 1, got {self.cache_capacity}"
-            )
-        if self.cache_ttl_seconds is not None and not self.cache_ttl_seconds > 0:
-            raise GatewayConfigError(
-                f"cache_ttl_seconds must be > 0 (or None), got {self.cache_ttl_seconds}"
             )
         if not self.serving_backend or not isinstance(self.serving_backend, str):
             raise GatewayConfigError(

@@ -76,7 +76,7 @@ from repro.core import wal
 from repro.core.wal import WalCorruptionError
 from repro.federation.envelopes import RecoveryReport
 from repro.federation.errors import DurabilityError, GatewayConfigError
-from repro.governance.audit import GENESIS_HASH, AuditLog, AuditRecord, verify_chain
+from repro.governance.audit import GENESIS_HASH, AuditRecord
 
 #: Default number of WAL records per segment (between checkpoints).
 DEFAULT_CHECKPOINT_EVERY = 256
@@ -160,11 +160,18 @@ class DurabilityManager:
     checkpoint reads only the manager's own counters — so it cannot
     participate in a cycle with the gateway mutex, the audit log's lock
     or any serving-layer lock.
+
+    ``governance`` is the gateway's
+    :class:`~repro.federation.governance.GovernancePlane`: the manager
+    journals its audit records and, on recovery, rebuilds the journaled
+    chain through it.
     """
 
-    def __init__(self, gateway, config: DurabilityConfig):
+    def __init__(self, gateway, config: DurabilityConfig, governance):
         self.config = config
         self._gateway = gateway
+        self._governance = governance
+        governance.journal(self.note_audit)
         self._lock = threading.RLock()
         self._directory = Path(config.dir)
         self._directory.mkdir(parents=True, exist_ok=True)
@@ -336,7 +343,7 @@ class DurabilityManager:
                 wal.truncate_segment(*stats["torn"])
             self.pending = False
             self._lsn = max(self._lsn, stats["lsn"])
-            audit = self._gateway._audit
+            audit = self._governance.log
             if audit is not None:
                 self._audit_count, self._audit_head = len(audit), audit.head_hash
             warmed = self._warm_snapshots(state)
@@ -501,34 +508,19 @@ class DurabilityManager:
         return replayed
 
     def _restore_audit(self, state: _JournalState) -> None:
-        gateway = self._gateway
         if not state.audit and not state.audit_count:
             return
-        if gateway._audit is None:
-            raise DurabilityError(
-                "journal carries audit records but the gateway has no audit "
-                "log; recover with the same governance configuration"
-            )
-        if len(gateway._audit):
-            raise DurabilityError(
-                "gateway audit log is not empty; recover() needs a fresh "
-                "gateway"
-            )
         sequences = sorted(state.audit)
         if sequences != list(range(len(sequences))):
             raise DurabilityError(
                 f"audit journal is not dense: have seqs {sequences[:5]}..."
             )
         records = [AuditRecord(**state.audit[seq]) for seq in sequences]
-        if not verify_chain(records):
-            raise DurabilityError(
-                "recovered audit records do not form an intact hash chain"
-            )
         if state.audit_head is not None:
             # Head-hash anchor: the chain rebuilt up to the manifest's
             # record count must land exactly on the head the manifest
             # recorded (catches a forged-but-internally-consistent
-            # replacement chain, which verify_chain alone cannot).
+            # replacement chain, which chain verification alone cannot).
             count = state.audit_count
             if count > len(records) or (
                 records[count - 1].hash if count else GENESIS_HASH
@@ -537,7 +529,7 @@ class DurabilityManager:
                     "recovered audit chain does not anchor on the "
                     "checkpoint's head hash"
                 )
-        gateway._audit = AuditLog.restore(records, sink=gateway._audit.sink)
+        self._governance.restore(records)
 
     def _restore_routes(self, state: _JournalState) -> None:
         if state.routes is None:

@@ -133,8 +133,7 @@ from repro.federation.errors import (
 )
 
 #: Module-level clock, monkeypatchable in tests (the staleness watermark
-#: and blocked-admission bookkeeping read it; same idiom as
-#: :data:`repro.core.cache.time_fn`).
+#: and blocked-admission bookkeeping read it).
 time_fn = time.monotonic
 
 #: Upper bound on one blocked wait (admission at a full queue, or a

@@ -21,9 +21,11 @@ The gateway sequences Figure 1 exactly once, in :meth:`_run`:
 pinned sessions (which contribute a fixed model and a cached enumerate
 stage) and the batched front door (which contributes admission-order
 ticks and coalesced fits) are all entry points into that one sequence of
-engine-room stage functions.  Governance, the durability journal and
-the audit chain attach as hooks at fixed points of it — each a no-op on
-a gateway configured without that plane.
+engine-room stage functions.  Two planes attach as hooks at fixed
+points of it: the :class:`~repro.federation.governance.GovernancePlane`
+(policy admission, denials and the audit chain; inert without a
+``GovernanceConfig``) and the durability journal (a no-op without a
+``DurabilityConfig``).
 """
 
 from __future__ import annotations
@@ -55,14 +57,14 @@ from repro.federation.errors import (
     EnvelopeError,
     GatewayConfigError,
     InsufficientHistoryError,
-    PolicyViolationError,
     SessionStateError,
     UnknownTemplateError,
 )
-from repro.governance.audit import GENESIS_HASH, AuditLog, verify_chain
-from repro.governance.identity import Principal
-from repro.governance.policy import PlanConstraint, PolicyEngine
 from repro.federation.frontdoor import FrontDoor, IngestTicket
+from repro.federation.governance import GovernancePlane
+from repro.governance.audit import AuditLog
+from repro.governance.identity import Principal
+from repro.governance.policy import PlanConstraint
 from repro.federation.registry import create_serving, create_strategy
 from repro.federation.session import GatewaySession
 from repro.common.errors import EstimationError
@@ -153,22 +155,14 @@ class FederationGateway:
         # gateway's lifetime (heat EWMAs carry across cycles), driven by
         # explicit rebalance() calls and, when config.rebalance is set,
         # after every front-door flush.
-        self._rebalance_policy = (
+        self._rebalancer = (
             None
             if self.config.rebalance is None
             else RebalancePolicy(self.config.rebalance)
         )
         self._last_rebalance = None
-        # Governance plane: the policy engine compiles DataPolicy rules
-        # into per-request plan constraints; the audit log chains every
-        # envelope the gateway acts on.  Both live parent-side only —
-        # they observe/filter the pipeline, they never alter what an
-        # admissible plan costs (permissive config == bitwise no-op).
-        governance = self.config.governance
-        self._policy = None if governance is None else PolicyEngine(governance)
-        self._audit = (
-            AuditLog() if governance is not None and governance.audit else None
-        )
+        # Policy and the audit chain; inert without a GovernanceConfig.
+        self._governance = GovernancePlane(self.config.governance)
         # Durability plane: journal every state-changing event to a WAL
         # and replay it on recover().  A directory with existing state
         # puts the gateway in recovery-pending mode — traffic raises
@@ -176,18 +170,17 @@ class FederationGateway:
         self._durability = (
             None
             if self.config.durability is None
-            else DurabilityManager(self, self.config.durability)
+            else DurabilityManager(self, self.config.durability, self._governance)
         )
         self._wire_durability()
 
     def _wire_durability(self) -> None:
-        """Point the event sources at the journal: audit appends, model
-        fits, and (sharded only) route flips."""
+        """Point the serving layer's events at the journal: model fits
+        and (sharded only) route flips.  The manager hooks the audit
+        chain itself, through the governance plane it is given."""
         manager = self._durability
         if manager is None:
             return
-        if self._audit is not None:
-            self._audit.sink = manager.note_audit
         serving = self.engine.serving
         serving.on_fit = manager.note_fit
         if hasattr(serving, "migrate"):
@@ -335,7 +328,7 @@ class FederationGateway:
             )
             if self._durability is not None:
                 self._durability.close()
-            self._durability = DurabilityManager(self, config)
+            self._durability = DurabilityManager(self, config, self._governance)
             self._wire_durability()
         if self._durability is None:
             raise GatewayConfigError(
@@ -346,136 +339,14 @@ class FederationGateway:
 
     # Governance -----------------------------------------------------------
 
-    def _audit_note(
-        self,
-        kind: str,
-        *,
-        template: str | None = None,
-        principal: Principal | None = None,
-        tick: int | None = None,
-        outcome: str = "ok",
-        detail: str = "",
-    ) -> None:
-        """Append one audit record, when the gateway keeps a log."""
-        if self._audit is None:
-            return
-        self._audit.append(
-            kind,
-            template=template,
-            subject=None if principal is None else principal.subject,
-            tick=tick,
-            outcome=outcome,
-            detail=detail,
-        )
-
-    def _deny(
-        self,
-        key: str,
-        principal: Principal | None,
-        rule_ids: tuple[str, ...],
-        message: str,
-    ) -> None:
-        """Audit and raise one policy denial (always raises)."""
-        subject = None if principal is None else principal.subject
-        self._audit_note(
-            "denial",
-            template=key,
-            principal=principal,
-            outcome="denied",
-            detail=", ".join(rule_ids) or message,
-        )
-        raise PolicyViolationError(
-            message, template=key, rule_ids=rule_ids, subject=subject
-        )
-
-    def _constraint_for(
-        self, key: str, principal: Principal | None
-    ) -> PlanConstraint | None:
-        """The compiled governance constraint for one request.
-
-        ``None`` means nothing constrains this request — no governance
-        plane, no rules, or no rule in the caller's scope touches the
-        query's tables.  That is the permissive fast path: downstream
-        code takes exactly the historical (governance-free) branch, which
-        is what makes the bitwise-equivalence gate hold by construction.
-        Inadmissible requests (missing required identity, a denied
-        dataset, conflicting restrictions) are audited and raised here as
-        :class:`~repro.federation.errors.PolicyViolationError` before any
-        plan is built.
-        """
-        policy = self._policy
-        if policy is None:
-            return None
-        if policy.config.require_identity and principal is None:
-            self._deny(
-                key,
-                None,
-                ("identity-required",),
-                f"anonymous request for {key!r} rejected: this federation "
-                "requires every envelope to carry a Principal "
-                "(GovernanceConfig(require_identity=True))",
-            )
-        if not policy.has_rules:
-            return None
-        template = self.engine.template(key)
-        constraint = policy.constraint_for(
-            principal, template.tables, self.engine.deployment
-        )
-        if constraint.unrestricted:
-            return None
-        if constraint.impossible:
-            reasons = "; ".join(
-                rule.describe() for rule in (constraint.fatal or constraint.applied)
-            )
-            self._deny(
-                key,
-                principal,
-                constraint.rule_ids,
-                f"no admissible plan for {key!r}: {reasons}",
-            )
-        return constraint
-
     def audit_report(self, limit: int | None = None) -> AuditReport:
-        """Typed audit-log report: chain head, live end-to-end
-        verification, traffic breakdown by record kind, and (up to
-        ``limit``, newest) the records themselves, oldest first.
-        ``limit=0`` reports counters only; ``None`` includes the whole
-        chain."""
-        log = self._audit
-        if log is None:
-            return AuditReport(
-                enabled=False,
-                length=0,
-                head_hash=GENESIS_HASH,
-                chain_valid=True,
-                submits=0,
-                observes=0,
-                flushes=0,
-                rebalances=0,
-                denials=0,
-            )
-        records = log.records()
-        kinds = [record.kind for record in records]
-        kept = records if limit is None else records[len(records) - limit :]
-        if limit == 0:
-            kept = ()
-        return AuditReport(
-            enabled=True,
-            length=len(records),
-            head_hash=log.head_hash,
-            chain_valid=verify_chain(records),
-            submits=kinds.count("submit"),
-            observes=kinds.count("observe"),
-            flushes=kinds.count("batch_flush"),
-            rebalances=kinds.count("rebalance"),
-            denials=kinds.count("denial"),
-            records=tuple(kept),
-        )
+        """Typed audit-log report; see :meth:`GovernancePlane.report`."""
+        return self._governance.report(limit)
 
     @property
     def audit_log(self) -> AuditLog | None:
         """The live audit log (``None`` when auditing is off)."""
-        return self._audit
+        return self._governance.log
 
     # The pipeline ---------------------------------------------------------
 
@@ -498,7 +369,7 @@ class FederationGateway:
         :class:`~repro.federation.errors.PolicyViolationError`).
         """
         self._require_template(key)
-        constraint = self._constraint_for(key, principal)
+        constraint = self._governance.admit(key, principal, self.engine)
         query = self.engine.receive(key, params)
         return self._space(key, query, principal, constraint, stats)
 
@@ -556,7 +427,9 @@ class FederationGateway:
         submit = isinstance(request, SubmitRequest)
         principal = request.principal
         engine = self.engine
-        constraint = self._admit(key, principal, candidate)
+        self._require_template(key)
+        self._journal_ready()
+        constraint = self._governance.admit(key, principal, engine, candidate)
         query = engine.receive(key, request.params, request.policy if submit else None)
         space = fronts = None
         if candidate is None and space_of is not None:
@@ -592,16 +465,16 @@ class FederationGateway:
             else:
                 self._journal_row(key, tick, history, rotation)
             size, version = history.size, history.version
-        self._audit_note(
+        self._governance.note(
             "submit" if submit else "observe",
-            template=key,
-            principal=principal,
-            tick=tick,
-            detail=(
+            lambda: (
                 f"{'chose' if submit else 'ran'} "
                 f"{candidate.execution.engine}/{candidate.execution.site}"
                 + ("" if execute else " [plan-only]")
             ),
+            template=key,
+            principal=principal,
+            tick=tick,
         )
         costs = None if execution is None else Executor.costs_of(execution.metrics)
         if not submit:
@@ -634,30 +507,6 @@ class FederationGateway:
             moqp_exact_fallback=result.moqp_exact_fallback,
         )
 
-    def _admit(
-        self, key: str, principal: Principal | None, candidate: QepCandidate | None
-    ) -> PlanConstraint | None:
-        """The admit stage: a known template, a journal ready for traffic,
-        and the request's governance constraint.  An explicitly supplied
-        QEP bypasses the filtered enumeration, so its site is checked
-        here instead."""
-        self._require_template(key)
-        self._journal_ready()
-        constraint = self._constraint_for(key, principal)
-        if (
-            constraint is not None
-            and candidate is not None
-            and not constraint.permits(candidate.execution.site)
-        ):
-            self._deny(
-                key,
-                principal,
-                constraint.rule_ids,
-                f"candidate executes at {candidate.execution.site!r}, which "
-                f"policy forbids for this principal",
-            )
-        return constraint
-
     def _space(
         self,
         key: str,
@@ -666,24 +515,10 @@ class FederationGateway:
         constraint: PlanConstraint | None,
         stats: dict[str, TableStats] | None = None,
     ) -> QepSpace:
-        """The enumerate stage: the QEP space, filtered by ``constraint``.
-
-        An empty filtered space is denied, never returned.  That is
-        unreachable for the rule shapes :class:`PolicyEngine` compiles
-        today (a site that is both needed and forbidden is already
-        *impossible* upstream) — kept as the last line of defence so a
-        future rule kind can never make the optimizer "choose" from
-        nothing.
-        """
+        """The enumerate stage: the QEP space, filtered by ``constraint``;
+        an empty filtered space is denied, never returned."""
         space = self.engine.enumerate(key, query, stats=stats, constraint=constraint)
-        if constraint is not None and not space:
-            self._deny(
-                key,
-                principal,
-                constraint.rule_ids,
-                f"no admissible plan for {key!r}: every execution site was "
-                "excluded by policy",
-            )
+        self._governance.deny_empty(key, principal, constraint, space)
         return space
 
     def _explore(
@@ -891,9 +726,9 @@ class FederationGateway:
         ``fsync="batch"`` a flush's records reach stable storage here,
         once per batch, with the flush-audit and rebalance records."""
         if len(batch):
-            self._audit_note(
+            self._governance.note(
                 "batch_flush",
-                detail=(
+                lambda: (
                     f"trigger={batch.trigger} items={len(batch)} "
                     f"submits={batch.submits} observes={batch.observes} "
                     f"failed={batch.failed}"
@@ -988,16 +823,16 @@ class FederationGateway:
                 "to balance"
             )
         with self._lock:
-            if self._rebalance_policy is None:
-                self._rebalance_policy = RebalancePolicy()
-            policy = self._rebalance_policy
+            if self._rebalancer is None:
+                self._rebalancer = RebalancePolicy()
+            policy = self._rebalancer
         self._rebalance_cycle(policy)
         return self.topology_report()
 
     def _rebalance_cycle(self, policy: RebalancePolicy) -> None:
         """Apply one policy cycle, keep its outcome and audit it."""
         self._last_rebalance = self.engine.serving.rebalance(policy)
-        self._audit_note("rebalance", detail=self._last_rebalance.describe())
+        self._governance.note("rebalance", self._last_rebalance.describe)
 
     def _auto_rebalance(self) -> None:
         """Front-door hook: one policy cycle after every flush, when the
@@ -1009,7 +844,7 @@ class FederationGateway:
             if self._closed:
                 return
         try:
-            self._rebalance_cycle(self._rebalance_policy)
+            self._rebalance_cycle(self._rebalancer)
         except ShardedServingError:
             # close() raced the cycle; the final flush already ran, so
             # losing one advisory rebalance is harmless.

@@ -165,9 +165,7 @@ def create_serving(config: "FederationConfig", modelling: Modelling):
 
 
 def _engine_cache(config: "FederationConfig") -> ModelCache:
-    return ModelCache(
-        capacity=config.cache_capacity, ttl_seconds=config.cache_ttl_seconds
-    )
+    return ModelCache(capacity=config.cache_capacity)
 
 
 def _dream_incremental(config: "FederationConfig") -> EstimationStrategy:

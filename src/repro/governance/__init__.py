@@ -15,7 +15,11 @@ federation carries in front of its query engine:
   with :func:`verify_chain`.
 
 The package is self-contained (it imports only ``repro.common``): the
-federation gateway consumes it, never the other way round.
+federation gateway consumes it, never the other way round.  The gateway
+meets these pieces through one object,
+:class:`~repro.federation.governance.GovernancePlane`, which lives in
+:mod:`repro.federation` because it raises federation errors and returns
+federation envelopes.
 """
 
 from repro.governance.audit import (

@@ -13,8 +13,7 @@ The log is deliberately parent-side and in-memory: it observes the
 pipeline, it never participates in it, so a permissive governance plane
 stays bitwise-equivalent to running with none (the subsystem's hard
 gate).  Timestamps come from the module-level ``time_fn`` (monkeypatch
-it in tests for deterministic records; same idiom as
-:data:`repro.core.cache.time_fn`).
+it in tests for deterministic records).
 """
 
 from __future__ import annotations

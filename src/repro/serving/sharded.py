@@ -807,7 +807,6 @@ class ShardedEstimationService(BaseEstimationService):
             hits=sum(c.hits for c in caches),
             misses=sum(c.misses for c in caches),
             evictions=sum(c.evictions for c in caches),
-            expirations=sum(c.expirations for c in caches),
             size=sum(c.size for c in caches),
         )
 

@@ -126,7 +126,6 @@ def dream_strategy(
     r2_required: float = 0.8,
     max_window: int | None = None,
     cache_capacity: int = 256,
-    cache_ttl_seconds: float | None = None,
 ):
     """Picklable factory for a worker-local incremental DREAM strategy.
 
@@ -142,9 +141,7 @@ def dream_strategy(
         r2_required=r2_required,
         max_window=max_window,
         incremental=True,
-        engine_cache=ModelCache(
-            capacity=cache_capacity, ttl_seconds=cache_ttl_seconds
-        ),
+        engine_cache=ModelCache(capacity=cache_capacity),
     )
 
 

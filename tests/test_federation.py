@@ -90,8 +90,6 @@ class TestFederationConfig:
     REJECTED_FIELDS = [
         ("cache_capacity", 0, "cache_capacity"),
         ("cache_capacity", -1, "cache_capacity"),
-        ("cache_ttl_seconds", 0, "cache_ttl_seconds"),
-        ("cache_ttl_seconds", -0.5, "cache_ttl_seconds"),
         ("shard_workers", 0, "shard_workers"),
         ("shard_workers", -2, "shard_workers"),
         ("shard_rpc_timeout", 0, "shard_rpc_timeout"),
@@ -185,16 +183,13 @@ class TestStrategyRegistry:
         assert {"dream-incremental", "dream-batch", "bml"} <= set(names)
 
     def test_dream_incremental_honours_cache_config(self):
-        config = FederationConfig(
-            cache_capacity=7, cache_ttl_seconds=30.0, r2_required=0.9, max_window=10
-        )
+        config = FederationConfig(cache_capacity=7, r2_required=0.9, max_window=10)
         strategy = create_strategy(config)
         assert isinstance(strategy, DreamStrategy)
         assert strategy.incremental
         assert strategy.r2_required == 0.9
         assert strategy.max_window == 10
         assert strategy.engine_cache.capacity == 7
-        assert strategy.engine_cache.ttl_seconds == 30.0
 
     def test_dream_batch_backend(self):
         strategy = create_strategy(FederationConfig(strategy="dream-batch"))

@@ -16,9 +16,13 @@ Four layers:
 4. Audit — the hash-chained log records every envelope, survives
    verification, detects tampering, and is summarised by
    ``gateway.audit_report()``.
+5. The plane — ``GovernancePlane``'s hooks on their own: inert without
+   a config, one denial record per denial, admission of an explicit
+   candidate, and the recovery-time ``restore``.
 """
 
 import dataclasses
+from types import SimpleNamespace
 
 import pytest
 
@@ -35,6 +39,8 @@ from repro.federation import (
     SubmitRequest,
     verify_chain,
 )
+from repro.federation.errors import DurabilityError, EnvelopeError
+from repro.federation.governance import GovernancePlane
 from repro.governance.audit import GENESIS_HASH, AuditLog, AuditRecord, record_hash
 from repro.governance.policy import PlanConstraint, PolicyEngine
 from repro.ires.deployment import Deployment
@@ -448,6 +454,14 @@ class TestGatewayAudit:
         assert tail.length == full.length and tail.submits == full.submits
         empty = governed.gateway.audit_report(limit=0)
         assert empty.records == () and empty.length == full.length
+        beyond = governed.gateway.audit_report(limit=full.length + 5)
+        assert beyond.records == full.records
+
+    @pytest.mark.parametrize("limit", [-1, -3])
+    def test_report_rejects_a_negative_limit(self, governed, limit):
+        assert governed.gateway.audit_report().length > 3
+        with pytest.raises(EnvelopeError, match="limit"):
+            governed.gateway.audit_report(limit=limit)
 
     def test_audit_log_verifies_live(self, governed):
         log = governed.gateway.audit_log
@@ -492,3 +506,115 @@ class TestGatewayAudit:
             assert report.chain_valid
         finally:
             midas.gateway.close()
+
+
+# ---------------------------------------------------------------------------
+# 5. The plane
+
+
+def stub_engine(tables=CROSS_SITE_TABLES):
+    """The two things admission reads from the engine room."""
+    return SimpleNamespace(
+        template=lambda key: SimpleNamespace(tables=tables),
+        deployment=Deployment(dict(DEFAULT_DEPLOYMENT)),
+    )
+
+
+def at_site(site: str):
+    return SimpleNamespace(execution=SimpleNamespace(site=site))
+
+
+def unbuilt_detail() -> str:
+    raise AssertionError("the detail was built with no log to append to")
+
+
+class TestGovernancePlane:
+    def test_without_a_config_the_plane_is_inert(self):
+        plane = GovernancePlane()
+        assert plane.admit("q", None, engine=None, candidate=at_site("x")) is None
+        plane.deny_empty("q", None, None, [])
+        plane.note("submit", unbuilt_detail, template="q", tick=3)
+        plane.journal(unbuilt_detail)
+        assert plane.log is None
+        report = plane.report()
+        assert not report.enabled and report.length == 0
+        assert report.head_hash == GENESIS_HASH and report.records == ()
+
+    def test_note_builds_its_detail_only_with_a_log(self):
+        plane = GovernancePlane(GovernanceConfig(audit=False))
+        plane.note("submit", unbuilt_detail)
+        assert plane.log is None
+        audited = GovernancePlane(GovernanceConfig())
+        audited.note("observe", lambda: "ran x/y", template="q", principal=CLINICIAN)
+        (record,) = audited.log.records()
+        assert (record.kind, record.detail, record.subject) == (
+            "observe",
+            "ran x/y",
+            CLINICIAN.subject,
+        )
+
+    def test_identity_denial_appends_exactly_one_record(self):
+        plane = GovernancePlane(GovernanceConfig(require_identity=True))
+        with pytest.raises(PolicyViolationError) as info:
+            plane.admit("q", None, engine=None)
+        assert info.value.rule_ids == ("identity-required",)
+        assert info.value.phase == "govern"
+        (record,) = plane.log.records()
+        assert (record.kind, record.outcome, record.template) == (
+            "denial",
+            "denied",
+            "q",
+        )
+        assert record.subject is None and record.detail == "identity-required"
+        # An identified caller passes; without rules nothing constrains it.
+        assert plane.admit("q", CLINICIAN, engine=None) is None
+        assert len(plane.log) == 1
+
+    def test_explicit_candidate_at_a_forbidden_site_is_denied_at_admit(self):
+        plane = GovernancePlane(
+            GovernanceConfig(policies=(DataPolicy("patient", "cloud-a", "restricted"),))
+        )
+        constraint = plane.admit("q", CLINICIAN, stub_engine(), at_site("cloud-a"))
+        assert constraint.required_sites == {"cloud-a"}
+        with pytest.raises(PolicyViolationError, match="forbids") as info:
+            plane.admit("q", CLINICIAN, stub_engine(), at_site("cloud-b"))
+        assert info.value.rule_ids == ("restricted:patient@cloud-a",)
+        assert [r.kind for r in plane.log.records()] == ["denial"]
+        with pytest.raises(PolicyViolationError, match="every execution site"):
+            plane.deny_empty("q", CLINICIAN, constraint, [])
+        assert len(plane.log) == 2
+
+    def test_restore_keeps_the_journal_sink(self):
+        source = GovernancePlane(GovernanceConfig())
+        source.note("submit", lambda: "chose x/y", template="q")
+        source.note("observe", lambda: "ran x/y", template="q")
+        journaled = []
+        plane = GovernancePlane(GovernanceConfig())
+        plane.journal(journaled.append)
+        plane.restore(source.log.records())
+        assert plane.log.head_hash == source.log.head_hash
+        plane.note("submit", lambda: "chose x/z", template="q")
+        assert [r.seq for r in journaled] == [2]
+        assert plane.log.verify()
+
+    def test_restore_refuses_a_plane_without_a_log_or_a_used_log(self):
+        records = AuditLog()
+        records.append("submit", template="q")
+        with pytest.raises(DurabilityError, match="no audit log"):
+            GovernancePlane().restore(records.records())
+        with pytest.raises(DurabilityError, match="no audit log"):
+            GovernancePlane(GovernanceConfig(audit=False)).restore(records.records())
+        used = GovernancePlane(GovernanceConfig())
+        used.note("observe", lambda: "ran x/y", template="q")
+        with pytest.raises(DurabilityError, match="not empty"):
+            used.restore(records.records())
+
+    def test_restore_refuses_a_broken_chain(self):
+        log = AuditLog()
+        log.append("submit", template="q")
+        log.append("observe", template="q")
+        first, second = log.records()
+        plane = GovernancePlane(GovernanceConfig())
+        with pytest.raises(DurabilityError, match="intact hash chain"):
+            plane.restore([second, first])
+        assert len(plane.log) == 0

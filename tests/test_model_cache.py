@@ -1,8 +1,8 @@
 """ModelCache unit tests + DreamStrategy eviction equivalence.
 
-The satellite guarantee: LRU capacity and TTL expiry each force a
-re-fit whose chosen window and predictions match the never-evicted
-engine, and the hit/miss/eviction/expiration counters are exact.
+The guarantee: LRU capacity forces a re-fit whose chosen window and
+predictions match the never-evicted engine, and the hit/miss/eviction
+counters are exact.
 """
 
 import numpy as np
@@ -13,17 +13,6 @@ from repro.common.errors import ValidationError
 from repro.common.rng import RngStream
 from repro.core import ExecutionHistory, ModelCache
 from repro.ires.modelling import DreamStrategy
-
-
-class FakeClock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
 
 
 def drift_history(ticks: int, seed: int = 5) -> ExecutionHistory:
@@ -51,43 +40,8 @@ class TestModelCacheUnit:
         assert cache.peek("a") == "A"
         assert cache.peek("c") == "C"
         stats = cache.stats
-        assert (stats.hits, stats.misses, stats.evictions, stats.expirations) == (
-            1,
-            3,
-            1,
-            0,
-        )
+        assert (stats.hits, stats.misses, stats.evictions) == (1, 3, 1)
         assert stats.size == 2 and len(cache) == 2
-
-    def test_ttl_expires_idle_entries_lazily(self):
-        clock = FakeClock()
-        cache = ModelCache(capacity=8, ttl_seconds=10.0, clock=clock)
-        cache.get_or_create("a", lambda: "A")
-        clock.advance(5.0)
-        assert cache.get_or_create("a", lambda: "A2") == "A"  # touch resets idle
-        clock.advance(9.0)
-        assert cache.get_or_create("a", lambda: "A3") == "A"  # 9 < 10: still live
-        clock.advance(11.0)
-        assert cache.get_or_create("a", lambda: "A4") == "A4"  # expired
-        stats = cache.stats
-        assert (stats.hits, stats.misses, stats.evictions, stats.expirations) == (
-            2,
-            2,
-            0,
-            1,
-        )
-
-    def test_purge_expired_counts_exactly(self):
-        clock = FakeClock()
-        cache = ModelCache(capacity=8, ttl_seconds=1.0, clock=clock)
-        cache.get_or_create("a", lambda: 1)
-        cache.get_or_create("b", lambda: 2)
-        clock.advance(0.5)
-        cache.get_or_create("b", lambda: 3)  # refresh b only
-        clock.advance(0.75)
-        assert cache.purge_expired() == 1  # a idle 1.25s, b idle 0.75s
-        assert "a" not in cache and "b" in cache
-        assert cache.stats.expirations == 1
 
     def test_anchor_mismatch_is_a_replacing_miss(self):
         cache = ModelCache(capacity=4)
@@ -110,42 +64,6 @@ class TestModelCacheUnit:
     def test_parameter_validation(self):
         with pytest.raises(ValidationError):
             ModelCache(capacity=0)
-        with pytest.raises(ValidationError):
-            ModelCache(capacity=4, ttl_seconds=0.0)
-
-    def test_default_clock_is_monkeypatchable_time_fn(self, monkeypatch):
-        """Caches built WITHOUT an explicit clock (e.g. deep inside a
-        registry factory) read ``repro.core.cache.time_fn`` at every
-        lookup, so TTL tests fast-forward instead of sleeping."""
-        import repro.core.cache as cache_module
-
-        clock = FakeClock()
-        monkeypatch.setattr(cache_module, "time_fn", clock)
-        cache = ModelCache(capacity=4, ttl_seconds=10.0)  # no clock argument
-        cache.get_or_create("a", lambda: "A")
-        clock.advance(9.0)
-        assert cache.get_or_create("a", lambda: "A2") == "A"  # still live
-        clock.advance(11.0)
-        assert cache.get_or_create("a", lambda: "A3") == "A3"  # expired
-        assert cache.stats.expirations == 1
-
-    def test_time_fn_reaches_registry_built_caches(self, monkeypatch):
-        """The gateway's registry factories construct engine caches
-        without exposing the clock; the module hook still governs them."""
-        import repro.core.cache as cache_module
-        from repro.federation import FederationConfig, create_strategy
-
-        clock = FakeClock()
-        monkeypatch.setattr(cache_module, "time_fn", clock)
-        strategy = create_strategy(
-            FederationConfig(cache_capacity=4, cache_ttl_seconds=30.0)
-        )
-        history = drift_history(20)
-        strategy.fit(history)
-        clock.advance(60.0)  # idle past the TTL: instant, no sleeping
-        strategy.fit(history)
-        stats = strategy.engine_cache.stats
-        assert (stats.hits, stats.misses, stats.expirations) == (0, 2, 1)
 
 
 class TestDreamStrategyEviction:
@@ -178,34 +96,6 @@ class TestDreamStrategyEviction:
         # and all but the final engine were evicted.
         assert (stats.hits, stats.misses, stats.evictions) == (0, 6, 5)
         assert stats.size == 1
-
-    def test_ttl_expiry_refits_identical_window_and_predictions(self):
-        history = drift_history(40, seed=9)
-        never_evicted = DreamStrategy(r2_required=0.8, max_window=20)
-        window, predictions = self._probe_predictions(never_evicted, history)
-
-        clock = FakeClock()
-        expiring = DreamStrategy(
-            r2_required=0.8,
-            max_window=20,
-            engine_cache=ModelCache(capacity=8, ttl_seconds=60.0, clock=clock),
-        )
-        size, first = self._probe_predictions(expiring, history)
-        assert size == window
-        clock.advance(120.0)  # idle past the TTL: engine expires
-        size, second = self._probe_predictions(expiring, history)
-        assert size == window
-        for metric, value in predictions.items():
-            assert first[metric] == pytest.approx(value, rel=1e-12)
-            assert second[metric] == pytest.approx(value, rel=1e-12)
-
-        stats = expiring.engine_cache.stats
-        assert (stats.hits, stats.misses, stats.expirations, stats.evictions) == (
-            0,
-            2,
-            1,
-            0,
-        )
 
     def test_hot_engine_is_reused_between_fits(self):
         history = drift_history(40, seed=2)
